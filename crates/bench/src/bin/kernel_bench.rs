@@ -5,7 +5,9 @@
 //! loop — each against a *naive reference implementation* reproducing the
 //! pre-optimization formulation (plain ikj GEMM with the zero-skip branch,
 //! transpose-per-iteration SpMM), so the emitted numbers are honest
-//! before/after pairs on the same machine.
+//! before/after pairs on the same machine. The `eigen` group (dense
+//! eigensolver, Lanczos, thin SVD) has no naive twin: its rows are roofline
+//! entries that the GRASP and CONE similarity layers point back to.
 //!
 //! ```text
 //! kernel_bench [--quick] [--threads N] [--seed S] [--out PATH]
@@ -21,7 +23,9 @@
 //! `{"schema":"kernel_bench/v1","threads":…,"mode":…,"rows":[{kernel, size,
 //! threads, reps, median_ns, throughput}, …]}` where `throughput` is
 //! kernel-specific work units per second (flops for GEMM/SpMM, matvec flops
-//! for Sinkhorn, edges for graphlets, iteration flops for the IsoRank loop).
+//! for Sinkhorn, edges for graphlets, iteration flops for the IsoRank loop,
+//! and `n³` for the `eigen` group — the matrix or Krylov size cubed, a
+//! size-normalized rate rather than a flop count).
 //!
 //! With `--compare`, reruns the suite and checks the *relative* speedups
 //! (naive median / optimized median) against the baseline's — absolute
@@ -35,8 +39,12 @@
 
 use graphalign_graph::spectral;
 use graphalign_json::Json;
+use graphalign_linalg::eigen::symmetric_eigen;
+use graphalign_linalg::lanczos::{lanczos, Which};
 use graphalign_linalg::sinkhorn::{sinkhorn, uniform_marginal, SinkhornParams};
+use graphalign_linalg::svd::thin_svd;
 use graphalign_linalg::{vec_ops, CsrMatrix, DenseMatrix, Workspace};
+use rand::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -72,7 +80,7 @@ struct Config {
     out: String,
     compare: Option<String>,
     /// Restrict the run to bench groups whose name contains this substring
-    /// (`gemm`, `spmm`, `sinkhorn`, `graphlets`, `isorank`). Measurement
+    /// (`gemm`, `spmm`, `sinkhorn`, `graphlets`, `isorank`, `eigen`). Measurement
     /// aid only: filtered runs are refused as baselines or compare inputs.
     only: Option<String>,
 }
@@ -394,6 +402,39 @@ fn bench_isorank_loop(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
     }
 }
 
+/// The dense factorizations GRASP, CONE, S-GWL, REGAL and LREA go
+/// through, at the shapes the similarity layers use: `symmetric_eigen` at
+/// GRASP's base-alignment size (40) and CONE's Procrustes size (256),
+/// Lanczos at CONE's fig11 shape (`k = n/2`, Krylov size `n`; a quarter of
+/// the work in quick mode), and the thin SVD of a rank-deficient matrix,
+/// whose null columns go through the orthonormal completion.
+fn bench_eigen(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
+    for n in [40usize, 256] {
+        let m = DenseMatrix::from_fn(n, n, |i, j| (((i * j) % 23) as f64 / 23.0 - 0.5) / n as f64);
+        let med = time_median(cfg.reps(), || {
+            black_box(symmetric_eigen(black_box(&m)).unwrap());
+        });
+        rows.push(row("symmetric_eigen", format!("n{n}"), t, (n as f64).powi(3), med));
+    }
+    let n = if cfg.quick { 256 } else { 512 };
+    let k = n / 2;
+    let g =
+        graphalign_gen::configuration_model(&graphalign_gen::degrees::uniform(n, 10), cfg.seed + 6);
+    let adj = spectral::sym_normalized_adjacency(&g);
+    let med = time_median(cfg.reps(), || {
+        black_box(lanczos(black_box(&adj), k, Which::Largest, n, cfg.seed).unwrap());
+    });
+    rows.push(row("lanczos", format!("n{n}k{k}m{n}"), t, (n as f64).powi(3), med));
+    let (n, rank) = (256, 128);
+    let mut rng = StdRng::seed_from_u64(cfg.seed + 7);
+    let mut factor = |r, c| DenseMatrix::from_fn(r, c, |_, _| rng.random_range(-1.0..1.0));
+    let a = factor(n, rank).matmul(&factor(rank, n));
+    let med = time_median(cfg.reps(), || {
+        black_box(thin_svd(black_box(&a)).unwrap());
+    });
+    rows.push(row("thin_svd", format!("{n}x{n}r{rank}"), t, (n as f64).powi(3), med));
+}
+
 fn run_all(cfg: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
     // Quick runs measure at the requested thread count; full runs sweep the
@@ -421,6 +462,9 @@ fn run_all(cfg: &Config) -> Vec<Row> {
         }
         if enabled("isorank") {
             bench_isorank_loop(cfg, t, &mut rows);
+        }
+        if enabled("eigen") {
+            bench_eigen(cfg, t, &mut rows);
         }
     }
     rows

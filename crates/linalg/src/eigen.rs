@@ -7,11 +7,21 @@
 //!    tridiagonal form, accumulating the orthogonal transformation;
 //! 2. `tql2` — implicit-shift QL iteration on the tridiagonal matrix.
 //!
+//! Both stages keep the transformation *transposed*: row `r` of the working
+//! matrix is column `r` of EISPACK's `V`. A Givens rotation of `tql2` then
+//! updates two adjacent rows, and every inner loop of `tred2` sweeps one
+//! row contiguously, where the textbook column layout strides by `n` on
+//! every access. Each element still sees the exact floating-point
+//! operations of the column-major algorithm, in the same order, so the
+//! results are bit-identical to it; the ordered dot products stay scalar
+//! loops in ascending index order.
+//!
 //! The result is the full spectrum with orthonormal eigenvectors, suitable for
 //! the modest dense systems this workspace needs (GRASP's base-alignment
 //! blocks, Gram matrices inside [`crate::svd`], landmark matrices in REGAL,
 //! Procrustes steps in CONE). For the *bottom-k* of large sparse Laplacians,
-//! use [`crate::lanczos`] instead.
+//! use [`crate::lanczos`] instead, which hands its projected tridiagonal
+//! matrix straight to `tql2` through [`tridiagonal_eigen`].
 
 use crate::dense::DenseMatrix;
 use crate::LinalgError;
@@ -54,24 +64,117 @@ pub fn symmetric_eigen(m: &DenseMatrix) -> Result<SymmetricEigen, LinalgError> {
     if n == 0 {
         return Ok(SymmetricEigen { values: Vec::new(), vectors: DenseMatrix::zeros(0, 0) });
     }
-    let mut v = m.clone();
+    // Transposed copy: row j of `w` holds column j of `m`, so the lower
+    // triangle `tred2` reads becomes the upper triangle of `w`.
+    let mut w = m.transpose();
     let mut d = vec![0.0; n]; // diagonal
     let mut e = vec![0.0; n]; // off-diagonal
-    tred2(&mut v, &mut d, &mut e);
-    tql2(&mut v, &mut d, &mut e)?;
-    // tql2 leaves eigenvalues sorted ascending with matching vector columns.
-    Ok(SymmetricEigen { values: d, vectors: v })
+    tred2(&mut w, &mut d, &mut e);
+    tql2(&mut w, &mut d, &mut e)?;
+    // tql2 leaves eigenvalues sorted ascending with matching vector rows.
+    Ok(SymmetricEigen { values: d, vectors: w.transpose() })
 }
 
-/// Householder reduction to tridiagonal form (EISPACK `tred2`).
+/// Eigendecomposition of the symmetric tridiagonal matrix with diagonal
+/// `diag` and sub-/super-diagonal `off`, bit-identical to
+/// [`symmetric_eigen`] of the dense matrix.
 ///
-/// On exit `v` holds the accumulated orthogonal transform Q (so that
-/// `Qᵀ M Q` is tridiagonal), `d` the diagonal and `e` the sub-diagonal
-/// (with `e[0] = 0`).
-fn tred2(v: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) {
+/// On tridiagonal input `tred2` only flips signs, so this entry skips it
+/// and hands `tql2` what `tred2` would: the off-diagonal
+/// `e_i = s_i·s_{i−1}·off_{i−1}` and the starting transform `diag(s)`,
+/// where `s_{n−1} = +1` and, for `l < n−1`, `s_l = −1` exactly when
+/// `off_l ≠ 0` (the Householder step for row `l+1` reflects coordinate `l`
+/// whenever that row has a nonzero coupling). The diagonal passes through
+/// unchanged, except that on each reflected coordinate the arithmetic
+/// `tred2` applies to it is replayed: it rounds when halving the entry
+/// does. This saves the `O(n³)` reduction and the dense `n × n` input;
+/// only entries above `f64::MAX / 2`, which overflow inside `tred2`, still
+/// take the dense path.
+///
+/// # Errors
+/// As [`symmetric_eigen`]: [`LinalgError::NotFinite`] for NaN/inf entries,
+/// [`LinalgError::NoConvergence`] if the QL iteration stalls.
+///
+/// # Panics
+/// Panics unless `off.len() + 1 == diag.len()` (or both are empty).
+pub fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> Result<SymmetricEigen, LinalgError> {
+    let (values, rows) = tridiagonal_eigen_rows(diag, off)?;
+    Ok(SymmetricEigen { values, vectors: rows.transpose() })
+}
+
+/// [`tridiagonal_eigen`] with the eigenvectors left as *rows* (in the
+/// order of the returned ascending eigenvalues), as `tql2` produces them.
+pub(crate) fn tridiagonal_eigen_rows(
+    diag: &[f64],
+    off: &[f64],
+) -> Result<(Vec<f64>, DenseMatrix), LinalgError> {
+    let n = diag.len();
+    assert_eq!(off.len() + 1, n.max(1), "tridiagonal_eigen: need diag.len() - 1 off-diagonals");
+    if !diag.iter().chain(off).all(|x| x.is_finite()) {
+        return Err(LinalgError::NotFinite { routine: "symmetric_eigen" });
+    }
+    if n == 0 {
+        return Ok((Vec::new(), DenseMatrix::zeros(0, 0)));
+    }
+    if diag.iter().chain(off).any(|x| x.abs() > f64::MAX / 2.0) {
+        // tred2 doubles entries, which overflows above f64::MAX / 2 into
+        // inf/NaN the shortcut does not reproduce: take the dense path.
+        let t = DenseMatrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+            0 => diag[i],
+            1 => off[i.min(j)],
+            _ => 0.0,
+        });
+        let eig = symmetric_eigen(&t)?;
+        return Ok((eig.values, eig.vectors.transpose()));
+    }
+    let sign = |l: usize| if l + 1 < n && off[l] != 0.0 { -1.0 } else { 1.0 };
+    let mut w = DenseMatrix::zeros(n, n);
+    for l in 0..n {
+        w.set(l, l, sign(l));
+    }
+    let mut d = diag.to_vec();
+    let mut e = vec![0.0; n];
+    for i in 1..n {
+        e[i] = sign(i) * sign(i - 1) * off[i - 1];
+        if off[i - 1] != 0.0 {
+            d[i - 1] = reflected_diagonal(diag[i - 1], sign(i) * off[i - 1]);
+        }
+    }
+    tql2(&mut w, &mut d, &mut e)?;
+    Ok((d, w))
+}
+
+/// The diagonal entry `tred2` leaves at coordinate `l` of a tridiagonal
+/// matrix when the Householder step of row `l + 1`, whose only nonzero
+/// coupling is `coupling`, reflects `l`: the operations `tred2` performs on
+/// the nonzero terms, in its order. The result is `alpha` unless halving
+/// `alpha` rounds (`0 < |alpha| < 2⁻¹⁰²¹`), or `alpha` is −0.0 and
+/// `coupling` is negative (the result is then +0.0).
+fn reflected_diagonal(alpha: f64, coupling: f64) -> f64 {
+    let f = coupling / coupling.abs();
+    let g = if f > 0.0 { -1.0 } else { 1.0 };
+    let h = 1.0 - f * g;
+    let u = f - g;
+    // tred2 accumulates both sums from +0.0, which turns a −0.0 term into +0.0.
+    let p = (0.0 + alpha * u) / h;
+    let hh = (0.0 + p * u) / (h + h);
+    let k = p - hh * u;
+    alpha - (u * k + k * u)
+}
+
+/// Householder reduction to tridiagonal form (EISPACK `tred2`), on the
+/// transposed layout.
+///
+/// On entry row `j` of `w` holds column `j` of the input (only `w[j][k]`
+/// with `k ≥ j` is read). On exit `w` holds `Qᵀ` (so that `Qᵀ M Q` is
+/// tridiagonal), `d` the diagonal and `e` the sub-diagonal (with
+/// `e[0] = 0`). Every access `V[a][b]` of the column-major original reads
+/// `w[b][a]` here, and each element is updated with the same operations in
+/// the same order.
+fn tred2(w: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) {
     let n = d.len();
     for j in 0..n {
-        d[j] = v.get(n - 1, j);
+        d[j] = w.get(j, n - 1);
     }
     for i in (1..n).rev() {
         let l = i - 1;
@@ -83,9 +186,9 @@ fn tred2(v: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) {
         if scale == 0.0 {
             e[i] = d[l];
             for j in 0..=l {
-                d[j] = v.get(l, j);
-                v.set(i, j, 0.0);
-                v.set(j, i, 0.0);
+                d[j] = w.get(j, l);
+                w.set(j, i, 0.0);
+                w.set(i, j, 0.0);
             }
         } else {
             for item in d.iter_mut().take(l + 1) {
@@ -97,16 +200,17 @@ fn tred2(v: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) {
             e[i] = scale * g;
             h -= f * g;
             d[l] = f - g;
-            for item in e.iter_mut().take(l + 1) {
-                *item = 0.0;
-            }
+            e[..=l].fill(0.0);
             for j in 0..=l {
                 f = d[j];
-                v.set(j, i, f);
-                g = e[j] + v.get(j, j) * f;
+                w.set(i, j, f);
+                let row = &w.row(j)[..=l];
+                g = e[j] + row[j] * f;
                 for k in (j + 1)..=l {
-                    g += v.get(k, j) * d[k];
-                    e[k] += v.get(k, j) * f;
+                    g += row[k] * d[k];
+                }
+                for (ek, &wk) in e[j + 1..=l].iter_mut().zip(&row[j + 1..]) {
+                    *ek += wk * f;
                 }
                 e[j] = g;
             }
@@ -122,50 +226,52 @@ fn tred2(v: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) {
             for j in 0..=l {
                 f = d[j];
                 g = e[j];
-                for k in j..=l {
-                    let upd = v.get(k, j) - (f * e[k] + g * d[k]);
-                    v.set(k, j, upd);
+                let row = &mut w.row_mut(j)[j..=l];
+                for ((wk, &ek), &dk) in row.iter_mut().zip(&e[j..=l]).zip(&d[j..=l]) {
+                    *wk -= f * ek + g * dk;
                 }
-                d[j] = v.get(l, j);
-                v.set(i, j, 0.0);
+                d[j] = w.get(j, l);
+                w.set(j, i, 0.0);
             }
         }
         d[i] = h;
     }
     for i in 0..n - 1 {
-        v.set(n - 1, i, v.get(i, i));
-        v.set(i, i, 1.0);
+        let diag = w.get(i, i);
+        w.set(i, n - 1, diag);
+        w.set(i, i, 1.0);
         let h = d[i + 1];
         if h != 0.0 {
-            for k in 0..=i {
-                d[k] = v.get(k, i + 1) / h;
+            // Row i + 1 holds the Householder vector of step i + 1.
+            let (done, rest) = w.as_mut_slice().split_at_mut((i + 1) * n);
+            let u = &rest[..=i];
+            for (dk, &uk) in d[..=i].iter_mut().zip(u) {
+                *dk = uk / h;
             }
-            for j in 0..=i {
+            for row in done.chunks_exact_mut(n) {
+                let row = &mut row[..=i];
                 let mut g = 0.0;
-                for k in 0..=i {
-                    g += v.get(k, i + 1) * v.get(k, j);
+                for (&uk, &wk) in u.iter().zip(row.iter()) {
+                    g += uk * wk;
                 }
-                for k in 0..=i {
-                    let upd = v.get(k, j) - g * d[k];
-                    v.set(k, j, upd);
+                for (wk, &dk) in row.iter_mut().zip(&d[..=i]) {
+                    *wk -= g * dk;
                 }
             }
         }
-        for k in 0..=i {
-            v.set(k, i + 1, 0.0);
-        }
+        w.row_mut(i + 1)[..=i].fill(0.0);
     }
     for j in 0..n {
-        d[j] = v.get(n - 1, j);
-        v.set(n - 1, j, 0.0);
+        d[j] = w.get(j, n - 1);
+        w.set(j, n - 1, 0.0);
     }
-    v.set(n - 1, n - 1, 1.0);
+    w.set(n - 1, n - 1, 1.0);
     e[0] = 0.0;
 }
 
 /// Implicit-shift QL iteration on a symmetric tridiagonal matrix
-/// (EISPACK `tql2`), accumulating eigenvectors into `v`.
-fn tql2(v: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
+/// (EISPACK `tql2`), accumulating eigenvectors into the *rows* of `w`.
+fn tql2(w: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
     let n = d.len();
     if n == 1 {
         return Ok(());
@@ -235,11 +341,13 @@ fn tql2(v: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgE
                     c = p / r;
                     p = c * d[i] - s * g;
                     d[i + 1] = h + s * (c * g + s * d[i]);
-                    // Accumulate transformation.
-                    for k in 0..n {
-                        h = v.get(k, i + 1);
-                        v.set(k, i + 1, s * v.get(k, i) + c * h);
-                        v.set(k, i, c * v.get(k, i) - s * h);
+                    // Accumulate the rotation into rows i and i + 1.
+                    let (head, tail) = w.as_mut_slice().split_at_mut((i + 1) * n);
+                    let (vi, vi1) = (&mut head[i * n..], &mut tail[..n]);
+                    for (a, b) in vi.iter_mut().zip(vi1.iter_mut()) {
+                        let t = *b;
+                        *b = s * *a + c * t;
+                        *a = c * *a - s * t;
                     }
                 }
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -254,7 +362,7 @@ fn tql2(v: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgE
         e[l] = 0.0;
     }
 
-    // Sort eigenvalues ascending, permuting vector columns to match.
+    // Sort eigenvalues ascending, permuting vector rows to match.
     for i in 0..n - 1 {
         let mut k = i;
         let mut p = d[i];
@@ -266,11 +374,8 @@ fn tql2(v: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgE
         }
         if k != i {
             d.swap(i, k);
-            for row in 0..n {
-                let tmp = v.get(row, i);
-                v.set(row, i, v.get(row, k));
-                v.set(row, k, tmp);
-            }
+            let (head, tail) = w.as_mut_slice().split_at_mut(k * n);
+            head[i * n..(i + 1) * n].swap_with_slice(&mut tail[..n]);
         }
     }
     telemetry::record("tql2", Convergence::tolerance(total_iters, 0.0));

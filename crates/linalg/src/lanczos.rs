@@ -5,34 +5,44 @@
 //! sparse PSD proximity operator. Dense `O(n³)` eigendecomposition would
 //! dominate runtime and memory (defeating the scalability experiments of
 //! Figures 11–14), so extremal spectra come from this Lanczos implementation
-//! with **full reorthogonalization** — simple, numerically robust, and the
-//! cost `O(k² n + k · nnz)` is negligible at the paper's `k ≤ 20..128`.
+//! with **full reorthogonalization** — simple and numerically robust.
+//!
+//! For a Krylov size `m` the cost has three parts: `m` operator applications
+//! (`O(m · nnz)`) plus `O(m² n)` for the two Gram–Schmidt passes; the
+//! projected solve, `O(m³)`; and the Ritz vectors, one `k × m` by `m × n`
+//! product (`O(k m n)`). At CONE's fig11 shape (`k = n/2`, `m = n`) all
+//! three are cubic in `n`. The projected matrix is already tridiagonal, so
+//! its `α`/`β` go straight to the QL solver
+//! ([`crate::eigen::tridiagonal_eigen`]), and the Ritz vectors come from
+//! the blocked GEMM.
 
 use crate::dense::DenseMatrix;
-use crate::eigen::symmetric_eigen;
+use crate::eigen::tridiagonal_eigen_rows;
 use crate::vec_ops;
 use crate::{LinalgError, LinearOp};
 use graphalign_par as par;
 use graphalign_par::telemetry::{self, Convergence, StopReason};
 use rand::prelude::*;
 
-/// Subtracts from `w` its projections onto every basis vector.
+/// Subtracts from `w` its projections onto every basis vector; `basis`
+/// holds the vectors back to back, `w.len()` values each.
 ///
 /// Classical Gram–Schmidt: all inner products are taken against the *same*
 /// incoming `w`, so they are independent and run in parallel. Callers apply
 /// this twice (CGS2), which matches the numerical robustness of the modified
-/// variant while exposing `basis.len()` parallel dot products per sweep.
-fn orthogonalize_against(basis: &[Vec<f64>], w: &mut [f64]) {
-    if basis.is_empty() {
+/// variant while exposing one parallel dot product per basis vector.
+fn orthogonalize_against(basis: &[f64], w: &mut [f64]) {
+    let n = w.len();
+    let count = basis.len() / n;
+    if count == 0 {
         return;
     }
-    let n = w.len();
     let projs = {
         let w_ro: &[f64] = w;
-        par::map_collect(basis.len(), n, |i| vec_ops::dot(w_ro, &basis[i]))
+        par::map_collect(count, n, |i| vec_ops::dot(w_ro, &basis[i * n..(i + 1) * n]))
     };
-    par::for_each_chunk_mut(w, basis.len(), |_, range, chunk| {
-        for (b, &proj) in basis.iter().zip(&projs) {
+    par::for_each_chunk_mut(w, count, |_, range, chunk| {
+        for (b, &proj) in basis.chunks_exact(n).zip(&projs) {
             vec_ops::axpy(-proj, &b[range.clone()], chunk);
         }
     });
@@ -91,8 +101,8 @@ pub fn lanczos(
     let m = max_dim.clamp(k.saturating_mul(2).min(n), n).max(k);
 
     let mut rng = StdRng::seed_from_u64(seed);
-    // Krylov basis vectors.
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
+    // Krylov basis vectors, back to back: the rows of a `dim × n` matrix.
+    let mut basis: Vec<f64> = Vec::with_capacity(m * n);
     let mut alpha: Vec<f64> = Vec::with_capacity(m);
     let mut beta: Vec<f64> = Vec::with_capacity(m);
 
@@ -105,7 +115,7 @@ pub fn lanczos(
     let mut stop = StopReason::MaxIter;
     for j in 0..m {
         crate::check_budget("lanczos", j)?;
-        basis.push(q.clone());
+        basis.extend_from_slice(&q);
         op.apply(&q, &mut w);
         if !vec_ops::all_finite(&w) {
             return Err(LinalgError::NotFinite { routine: "lanczos" });
@@ -116,7 +126,7 @@ pub fn lanczos(
         vec_ops::axpy(-a_j, &q, &mut w);
         if j > 0 {
             let b_prev = beta[j - 1];
-            vec_ops::axpy(-b_prev, &basis[j - 1], &mut w);
+            vec_ops::axpy(-b_prev, &basis[(j - 1) * n..j * n], &mut w);
         }
         // Full reorthogonalization (twice for stability).
         orthogonalize_against(&basis, &mut w);
@@ -152,44 +162,27 @@ pub fn lanczos(
         }
     }
 
-    // Solve the projected tridiagonal problem T = tridiag(beta, alpha, beta).
-    let dim = basis.len();
-    let mut t = DenseMatrix::zeros(dim, dim);
-    for i in 0..dim {
-        t.set(i, i, alpha[i]);
-        if i + 1 < dim {
-            let b = beta.get(i).copied().unwrap_or(0.0);
-            t.set(i, i + 1, b);
-            t.set(i + 1, i, b);
-        }
-    }
-    let eig = symmetric_eigen(&t)?;
+    // Solve the projected tridiagonal problem T = tridiag(beta, alpha, beta);
+    // after a breakdown `beta` has one entry past the last row.
+    let dim = alpha.len();
+    let (eig_values, eig_rows) = tridiagonal_eigen_rows(&alpha, &beta[..dim - 1])?;
 
     // Ritz pairs: pick k from the requested end.
     let indices: Vec<usize> = match which {
         Which::Smallest => (0..k.min(dim)).collect(),
         Which::Largest => (0..k.min(dim)).map(|i| dim - 1 - i).collect(),
     };
-    let values: Vec<f64> = indices.iter().map(|&src| eig.values[src]).collect();
-    // Ritz vector j = Σ_i basis[i] * y[i][j], assembled in parallel over
-    // output rows.
-    let coefs: Vec<Vec<f64>> =
-        indices.iter().map(|&src| (0..dim).map(|i| eig.vectors.get(i, src)).collect()).collect();
-    let mut vectors = DenseMatrix::par_from_fn(n, indices.len(), |row, out_j| {
-        let mut acc = 0.0;
-        for (i, b) in basis.iter().enumerate() {
-            acc += coefs[out_j][i] * b[row];
-        }
-        acc
-    });
+    let values: Vec<f64> = indices.iter().map(|&src| eig_values[src]).collect();
+    // Ritz vector j = Σ_i y_j[i] · basis[i]: row j of the product of the
+    // selected eigenvector rows with the basis, which the blocked GEMM
+    // accumulates in ascending i for every element. The basis is freed as
+    // soon as the product exists.
+    let mut ritz = eig_rows.select_rows(&indices).matmul(&DenseMatrix::from_vec(dim, n, basis));
     // Normalize Ritz vectors (they are orthonormal up to rounding).
-    for j in 0..vectors.cols() {
-        let mut col = vectors.col(j);
-        vec_ops::normalize(&mut col);
-        for (i, &v) in col.iter().enumerate() {
-            vectors.set(i, j, v);
-        }
+    for j in 0..ritz.rows() {
+        vec_ops::normalize(ritz.row_mut(j));
     }
+    let vectors = ritz.transpose();
     let convergence = Convergence { iterations: dim, residual: last_beta, converged: true, stop };
     telemetry::record("lanczos", convergence);
     Ok(LanczosResult { values, vectors, convergence })
@@ -198,6 +191,7 @@ pub fn lanczos(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eigen::symmetric_eigen;
     use crate::sparse::CsrMatrix;
 
     fn diag_csr(d: &[f64]) -> CsrMatrix {

@@ -1,8 +1,12 @@
 //! Householder QR factorization.
 //!
-//! Used for (a) re-orthonormalizing the low-rank factors LREA accumulates,
-//! (b) the Lanczos restart path, and (c) as the preconditioning step of the
-//! thin SVD in [`crate::svd`].
+//! Used for (a) re-orthonormalizing the low-rank factors LREA accumulates
+//! and (b) as the preconditioning step of the thin SVD in [`crate::svd`].
+//!
+//! Applying a reflector needs the dot product of `v` with every trailing
+//! column. Those are formed row by row, in axpy form — `dots += vᵢ · row i`
+//! — so every pass reads contiguous memory, while each dot still sums its
+//! terms in ascending row order, exactly like a column-by-column loop.
 
 use crate::dense::DenseMatrix;
 use graphalign_par as par;
@@ -53,19 +57,11 @@ pub fn thin_qr(a: &DenseMatrix) -> ThinQr {
         for vi in v.iter_mut() {
             *vi /= vnorm;
         }
-        // Apply reflector H = I - 2 v vᵀ to R[j.., j..]. The per-column dot
-        // products `vᵀ R[j.., col]` are independent and run in parallel, as
-        // do the row-block updates; arithmetic order per entry is unchanged.
-        let dots = {
-            let r_ro = &r;
-            par::map_collect(n - j, m - j, |c| {
-                let mut dot = 0.0;
-                for (t, &vi) in v.iter().enumerate() {
-                    dot += vi * r_ro.get(j + t, j + c);
-                }
-                dot
-            })
-        };
+        // Apply reflector H = I - 2 v vᵀ to R[j.., j..]. The dot products
+        // `vᵀ R[j.., col]` are split over column blocks that run in
+        // parallel, as are the row-block updates; arithmetic order per
+        // entry is unchanged.
+        let dots = reflector_dots(&v, &r, j, j);
         let sub = &mut r.as_mut_slice()[j * n..];
         par::for_each_row_block_mut(sub, n, n - j, |rows, block| {
             for (off, row) in block.chunks_mut(n).enumerate() {
@@ -88,16 +84,7 @@ pub fn thin_qr(a: &DenseMatrix) -> ThinQr {
         if v.iter().all(|&x| x == 0.0) {
             continue;
         }
-        let dots = {
-            let q_ro = &q;
-            par::map_collect(k, m - j, |col| {
-                let mut dot = 0.0;
-                for (t, &vi) in v.iter().enumerate() {
-                    dot += vi * q_ro.get(j + t, col);
-                }
-                dot
-            })
-        };
+        let dots = reflector_dots(v, &q, j, 0);
         let sub = &mut q.as_mut_slice()[j * k..];
         par::for_each_row_block_mut(sub, k, k, |rows, block| {
             for (off, row) in block.chunks_mut(k).enumerate() {
@@ -109,13 +96,27 @@ pub fn thin_qr(a: &DenseMatrix) -> ThinQr {
         });
     }
     // Truncate R to k × n (thin form).
-    let mut r_thin = DenseMatrix::zeros(k, n);
-    for i in 0..k {
-        for j in 0..n {
-            r_thin.set(i, j, r.get(i, j));
+    let mut r = r.into_vec();
+    r.truncate(k * n);
+    ThinQr { q, r: DenseMatrix::from_vec(k, n, r) }
+}
+
+/// `dots[c] = Σ_t v[t] · a[row0 + t][col0 + c]` for every column from
+/// `col0` on, accumulated row by row: each dot sums its terms in ascending
+/// `t` starting from `0.0`, while every pass reads a contiguous row
+/// segment. Column blocks run in parallel; a block's values do not depend
+/// on how the columns are split.
+fn reflector_dots(v: &[f64], a: &DenseMatrix, row0: usize, col0: usize) -> Vec<f64> {
+    let mut dots = vec![0.0; a.cols() - col0];
+    par::for_each_chunk_mut(&mut dots, v.len(), |_, cols, chunk| {
+        for (t, &vi) in v.iter().enumerate() {
+            let row = &a.row(row0 + t)[col0 + cols.start..col0 + cols.end];
+            for (d, &x) in chunk.iter_mut().zip(row) {
+                *d += vi * x;
+            }
         }
-    }
-    ThinQr { q, r: r_thin }
+    });
+    dots
 }
 
 #[cfg(test)]

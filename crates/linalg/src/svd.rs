@@ -109,30 +109,35 @@ pub fn thin_svd(a: &DenseMatrix) -> Result<ThinSvd, LinalgError> {
 
 /// Fills columns of `u` whose singular value is ≤ `tol` with vectors
 /// orthonormal to the rest (Gram–Schmidt against all other columns).
+///
+/// The columns are read as rows of one transposed copy, which takes each
+/// filled column as soon as it is found, so later null columns
+/// orthogonalize against it exactly as if they read `u` itself.
 fn complete_orthonormal(u: &mut DenseMatrix, sigma: &[f64], tol: f64) {
     let n = u.rows();
     let k = u.cols();
-    for j in 0..k {
-        if sigma[j] > tol && sigma[j] > 0.0 {
-            continue;
-        }
+    let is_null = |j: usize| !(sigma[j] > tol && sigma[j] > 0.0);
+    if !(0..k).any(is_null) {
+        return;
+    }
+    let mut cols = u.transpose();
+    let mut v = vec![0.0; n];
+    for j in (0..k).filter(|&j| is_null(j)) {
         // Try basis vectors until one survives orthogonalization.
-        'candidates: for cand in 0..n {
-            let mut v = vec![0.0; n];
+        for cand in 0..n {
+            v.fill(0.0);
             v[cand] = 1.0;
-            for other in 0..k {
-                if other == j {
-                    continue;
-                }
-                let col: Vec<f64> = (0..n).map(|i| u.get(i, other)).collect();
-                let proj = crate::vec_ops::dot(&v, &col);
-                crate::vec_ops::axpy(-proj, &col, &mut v);
+            for other in (0..k).filter(|&other| other != j) {
+                let col = cols.row(other);
+                let proj = crate::vec_ops::dot(&v, col);
+                crate::vec_ops::axpy(-proj, col, &mut v);
             }
             if crate::vec_ops::normalize(&mut v) > 1e-8 {
+                cols.row_mut(j).copy_from_slice(&v);
                 for (i, &vi) in v.iter().enumerate() {
                     u.set(i, j, vi);
                 }
-                break 'candidates;
+                break;
             }
         }
     }
@@ -143,7 +148,8 @@ fn complete_orthonormal(u: &mut DenseMatrix, sigma: &[f64], tol: f64) {
 ///
 /// Because the SVD uses the Gram trick, singular values that are exactly zero
 /// surface as values on the order of `√ε · σ_max ≈ 1e-8 · σ_max`; pass
-/// `rcond ≥ 1e-7` (REGAL and CONE use `1e-6`) so they are correctly truncated.
+/// `rcond ≥ 1e-7` (the landmark Sinkhorn, the production caller, uses
+/// `1e-6`) so they are correctly truncated.
 ///
 /// # Errors
 /// Propagates SVD failures.

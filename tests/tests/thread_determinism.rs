@@ -20,7 +20,10 @@
 use graphalign::registry;
 use graphalign_assignment::AssignmentMethod;
 use graphalign_gen as gen;
+use graphalign_linalg::lanczos::{lanczos, Which};
+use graphalign_linalg::qr::thin_qr;
 use graphalign_linalg::sinkhorn::{sinkhorn, uniform_marginal, SinkhornParams};
+use graphalign_linalg::svd::thin_svd;
 use graphalign_linalg::{CsrMatrix, DenseMatrix, Similarity, Workspace};
 use graphalign_noise::{make_instance, NoiseConfig, NoiseModel};
 use graphalign_par::telemetry;
@@ -136,6 +139,28 @@ fn alignments_are_bit_identical_across_thread_counts() {
         let mu = uniform_marginal(64);
         let params = SinkhornParams { epsilon: 0.05, max_iter: 40, tol: 0.0 };
         let (plan, _) = sinkhorn(&cost, &mu, &mu, &params).unwrap();
+        // The factorizations: a tall QR large enough that its reflector dots
+        // split over parallel column blocks, a rank-deficient SVD whose
+        // null columns go through the orthonormal completion, and a Lanczos
+        // run whose Ritz vectors come from a parallel blocked GEMM.
+        let tall = DenseMatrix::from_fn(1200, 120, |i, j| ((i * 7 + j * 5) as f64).sin());
+        let qr = thin_qr(&tall);
+        let deficient = DenseMatrix::from_fn(96, 96, |i, j| {
+            if i < 3 || j < 3 {
+                0.0
+            } else {
+                ((i % 40) as f64 * 0.1).sin() * ((j % 40) as f64 * 0.2).cos()
+            }
+        });
+        let svd = thin_svd(&deficient).unwrap();
+        let ring = CsrMatrix::from_triplets(
+            900,
+            900,
+            &(0..900)
+                .flat_map(|i| [(i, (i + 1) % 900, 1.0), ((i + 1) % 900, i, 1.0), (i, i, i as f64)])
+                .collect::<Vec<_>>(),
+        );
+        let krylov = lanczos(&ring, 20, Which::Largest, 150, 11).unwrap();
 
         let ops = op_counts(&telemetry::drain());
 
@@ -165,6 +190,9 @@ fn alignments_are_bit_identical_across_thread_counts() {
             auto_out.as_slice().to_vec(),
             gd_flat,
             plan.as_slice().to_vec(),
+            [qr.q.as_slice(), qr.r.as_slice()].concat(),
+            [svd.u.as_slice(), &svd.sigma, svd.v.as_slice()].concat(),
+            [&krylov.values, krylov.vectors.as_slice()].concat(),
         ];
         (outputs, ops)
     };
