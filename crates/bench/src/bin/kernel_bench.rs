@@ -478,9 +478,11 @@ fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// SIMD dispatch level the kernels ran at (`"avx2"` or `"scalar"`). Both
-/// paths are bitwise-identical, so this only contextualizes throughput —
-/// but a baseline recorded under one level should be read knowing it.
+/// SIMD level this binary was built for (`"avx2"` when it targets AVX2, as
+/// the pinned `x86-64-v3` does, else `"scalar"`): it picks the linalg
+/// reductions at compile time. Both builds are bitwise-identical, so this
+/// only contextualizes throughput — but a baseline recorded under one level
+/// should be read knowing it.
 fn simd_level() -> &'static str {
     if graphalign_linalg::simd::simd_active() {
         "avx2"

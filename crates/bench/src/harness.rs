@@ -392,7 +392,7 @@ pub fn run_cell_traced(
     // One chunk per repetition: an alignment run dwarfs any per-item
     // forking threshold, so bill each item at `usize::MAX >> 16`.
     let results = graphalign_par::try_map_collect(policy.reps, usize::MAX >> 16, |r| {
-        crate::fault::maybe_inject(&format!(
+        graphalign_par::fault::maybe_inject(&format!(
             "{}:{}:{}:r{r}",
             algo.name(),
             noise.model.label(),

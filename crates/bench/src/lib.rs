@@ -19,7 +19,6 @@
 //! loop ([`harness`]), memory accounting ([`memprobe`]), and plain-text
 //! table rendering ([`table`]).
 
-pub mod fault;
 pub mod figures;
 pub mod harness;
 pub mod journal;

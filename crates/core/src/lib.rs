@@ -60,7 +60,6 @@ pub mod grasp;
 pub mod gwl;
 pub mod isorank;
 pub mod lrea;
-pub mod multi;
 pub mod netalign;
 pub mod nsd;
 pub mod prior;

@@ -88,19 +88,21 @@ fn gemm_core(
                     let (q0, rest) = quad.split_at_mut(n);
                     let (q1, rest) = rest.split_at_mut(n);
                     let (q2, q3) = rest.split_at_mut(n);
-                    simd::gemm_tile4_packed(
+                    simd::gemm_tile_packed(
                         [seg(r), seg(r + 1), seg(r + 2), seg(r + 3)],
                         panel,
                         nc,
-                        &mut q0[jt..jt + nc],
-                        &mut q1[jt..jt + nc],
-                        &mut q2[jt..jt + nc],
-                        &mut q3[jt..jt + nc],
+                        [
+                            &mut q0[jt..jt + nc],
+                            &mut q1[jt..jt + nc],
+                            &mut q2[jt..jt + nc],
+                            &mut q3[jt..jt + nc],
+                        ],
                     );
                     r += 4;
                 }
                 for out_row in block[r * n..nrows * n].chunks_mut(n) {
-                    simd::gemm_tile1_packed(seg(r), panel, nc, &mut out_row[jt..jt + nc]);
+                    simd::gemm_tile_packed([seg(r)], panel, nc, [&mut out_row[jt..jt + nc]]);
                     r += 1;
                 }
             });

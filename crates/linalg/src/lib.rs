@@ -20,10 +20,11 @@
 //! * [`power`] — power iteration for leading eigenvectors.
 //! * [`sinkhorn`] — entropic optimal transport (Sinkhorn) and the proximal
 //!   point wrapper used by the Gromov–Wasserstein solvers.
-//! * [`vec_ops`] — small dense-vector helpers shared by the iterative solvers,
-//!   including the GEMM microkernels behind the blocked products.
-//! * [`simd`] — runtime-dispatched AVX2 microkernels with bit-identical
-//!   scalar twins (the lane-group reduction order contract lives here).
+//! * [`vec_ops`] — small dense-vector helpers shared by the iterative solvers.
+//! * [`simd`] — the vector kernels behind [`vec_ops`] and the packed GEMM
+//!   tile behind the blocked products, one implementation each; the four
+//!   reductions use AVX2 intrinsics when the build targets AVX2 (the
+//!   lane-group reduction order contract lives here).
 //! * [`lowrank::LowRankSim`] — implicit factored similarity matrices with
 //!   row-scan/argmax/top-k kernels that never materialize the product.
 //! * [`similarity::Similarity`] — the dense/low-rank/sparse representation

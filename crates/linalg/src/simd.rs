@@ -1,222 +1,336 @@
-//! Explicit-SIMD microkernels with bit-identical scalar twins.
+//! The innermost vector and GEMM-tile kernels, one implementation each.
 //!
-//! Every function here exists in two implementations: an AVX2 path written
-//! with `std::arch` intrinsics and a scalar twin that performs *the exact
-//! same floating-point operations in the exact same order*. Dispatch is a
-//! runtime decision ([`simd_active`]): the build pins `target-cpu=x86-64-v3`
-//! in `.cargo/config.toml`, but a binary compiled without that pin (or run
-//! on a pre-AVX2 machine, or any non-x86_64 target) falls back to the twin
-//! without ever executing an illegal instruction. Either path produces the
-//! same bits, so the choice is invisible to everything downstream — the
-//! property tests in `tests/proptests.rs` enforce this for every remainder
-//! width.
+//! The element-wise kernels ([`axpy`], [`scale`], [`pack_panel`] and the
+//! packed GEMM tile [`gemm_tile_packed`]) are plain Rust; built for the
+//! `x86-64-v3` level that `.cargo/config.toml` pins, they compile to 256-bit
+//! AVX code. The four horizontal reductions ([`dot`], [`sum`], [`dist2_sq`],
+//! [`dist2_sq_both`]) are the exception: written portably, the compiler
+//! turns their 8-lane accumulators into 128-bit code, so a build that
+//! targets AVX2 runs them on `std::arch` intrinsics instead. The choice is
+//! made at build time ([`simd_active`] reports it) and never changes a bit:
+//! the tests pin the reductions' results to constants and hold the AVX2
+//! build to the portable versions in [`portable`], which every other build
+//! runs.
 //!
 //! # The lane-group accumulation contract
 //!
-//! Element-wise kernels ([`axpy`], [`scale`], and the GEMM tiles) are
-//! trivially order-preserving: each output element accumulates its terms in
-//! ascending shared-index order with one rounding per multiply and one per
-//! add, exactly like the scalar loop, so vectorizing across *elements*
-//! cannot change a bit.
+//! Element-wise kernels are trivially order-preserving: each output element
+//! accumulates its terms in ascending shared-index order with one rounding
+//! per multiply and one per add, exactly like the scalar loop, so
+//! vectorizing across *elements* cannot change a bit.
 //!
-//! Reductions ([`dot`], [`sum`], [`dist2_sq`]) cannot keep the historical
-//! single-accumulator order and still vectorize, so this module *defines*
-//! their summation order as the 8-stripe lane-group order: lane `k ∈ 0..8`
-//! accumulates indices `i ≡ k (mod 8)` over the 8-aligned prefix, lanes are
-//! combined in the fixed tree `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` —
-//! the natural AVX2 reduction shape — and the tail `len − len % 8` onward is
-//! added sequentially. The scalar twin implements that same order, so SIMD
-//! and scalar stay bitwise equal on every input length.
+//! Reductions cannot keep the historical single-accumulator order and still
+//! vectorize, so this module *defines* their summation order as the 8-stripe
+//! lane-group order: lane `k ∈ 0..8` accumulates indices `i ≡ k (mod 8)` over
+//! the 8-aligned prefix, lanes are combined in the fixed tree
+//! `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — the natural AVX2 reduction
+//! shape — and the tail `len − len % 8` onward is added sequentially.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+pub use avx2::{dist2_sq, dist2_sq_both, dot, sum};
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+pub use portable::{dist2_sq, dist2_sq_both, dot, sum};
 
-/// Dispatch state: 0 = undecided, 1 = SIMD, 2 = scalar.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-#[cfg(target_arch = "x86_64")]
-fn detect() -> bool {
-    is_x86_feature_detected!("avx2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect() -> bool {
-    false
-}
-
-/// Whether the AVX2 path is in use: `true` when the CPU reports AVX2 at
-/// runtime, the target is x86_64, the `GRAPHALIGN_NO_SIMD` environment
-/// variable is unset, and [`set_force_scalar`] has not pinned the scalar
-/// twin. The decision is made once and cached.
+/// Whether this build runs the reductions on AVX2 intrinsics: `true` when it
+/// was compiled for an x86-64 target with AVX2, as the pinned `x86-64-v3`
+/// is. Fixed at build time; either answer gives the same bits.
 pub fn simd_active() -> bool {
-    match MODE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var_os("GRAPHALIGN_NO_SIMD").is_none() && detect();
-            MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
+    cfg!(all(target_arch = "x86_64", target_feature = "avx2"))
+}
+
+/// The portable lane-group reductions: what [`dot`], [`sum`], [`dist2_sq`]
+/// and [`dist2_sq_both`] are on builds without AVX2, and the reference the
+/// tests hold the AVX2 build to.
+pub mod portable {
+    /// Combines eight stripe accumulators in the fixed AVX2 reduction shape:
+    /// pairwise across the two vector registers, then across 128-bit halves,
+    /// then across lanes.
+    #[inline]
+    fn combine8(acc: [f64; 8]) -> f64 {
+        let v = [acc[0] + acc[4], acc[1] + acc[5], acc[2] + acc[6], acc[3] + acc[7]];
+        (v[0] + v[2]) + (v[1] + v[3])
+    }
+
+    /// Dot product `x · y` in the lane-group order.
+    ///
+    /// # Panics
+    /// Panics if the slices have different lengths.
+    pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+        assert_eq!(x.len(), y.len(), "dot: length mismatch ({} vs {})", x.len(), y.len());
+        let n = x.len();
+        let mut acc = [0.0f64; 8];
+        let mut i = 0;
+        while i + 8 <= n {
+            for (k, a) in acc.iter_mut().enumerate() {
+                *a += x[i + k] * y[i + k];
+            }
+            i += 8;
+        }
+        let mut total = combine8(acc);
+        while i < n {
+            total += x[i] * y[i];
+            i += 1;
+        }
+        total
+    }
+
+    /// Sum of all entries in the lane-group order.
+    pub fn sum(x: &[f64]) -> f64 {
+        let n = x.len();
+        let mut acc = [0.0f64; 8];
+        let mut i = 0;
+        while i + 8 <= n {
+            for (k, a) in acc.iter_mut().enumerate() {
+                *a += x[i + k];
+            }
+            i += 8;
+        }
+        let mut total = combine8(acc);
+        while i < n {
+            total += x[i];
+            i += 1;
+        }
+        total
+    }
+
+    /// Squared Euclidean distance `‖x − y‖₂²` in the lane-group order.
+    ///
+    /// # Panics
+    /// Panics if the slices have different lengths.
+    pub fn dist2_sq(x: &[f64], y: &[f64]) -> f64 {
+        assert_eq!(x.len(), y.len(), "dist2_sq: length mismatch");
+        let n = x.len();
+        let mut acc = [0.0f64; 8];
+        let mut i = 0;
+        while i + 8 <= n {
+            for (k, a) in acc.iter_mut().enumerate() {
+                let d = x[i + k] - y[i + k];
+                *a += d * d;
+            }
+            i += 8;
+        }
+        let mut total = combine8(acc);
+        while i < n {
+            let d = x[i] - y[i];
+            total += d * d;
+            i += 1;
+        }
+        total
+    }
+
+    /// Both squared distances `(‖x − y‖₂², ‖x + y‖₂²)` in one pass, each in
+    /// the lane-group order — bit-identical to two [`dist2_sq`] calls, the
+    /// second on a sign-flipped `y`.
+    ///
+    /// # Panics
+    /// Panics if the slices have different lengths.
+    pub fn dist2_sq_both(x: &[f64], y: &[f64]) -> (f64, f64) {
+        assert_eq!(x.len(), y.len(), "dist2_sq_both: length mismatch");
+        let n = x.len();
+        let mut am = [0.0f64; 8];
+        let mut ap = [0.0f64; 8];
+        let mut i = 0;
+        while i + 8 <= n {
+            for k in 0..8 {
+                let d = x[i + k] - y[i + k];
+                am[k] += d * d;
+                let s = x[i + k] + y[i + k];
+                ap[k] += s * s;
+            }
+            i += 8;
+        }
+        let mut minus = combine8(am);
+        let mut plus = combine8(ap);
+        while i < n {
+            let d = x[i] - y[i];
+            minus += d * d;
+            let s = x[i] + y[i];
+            plus += s * s;
+            i += 1;
+        }
+        (minus, plus)
+    }
+}
+
+/// The reductions on AVX2 intrinsics, two 4-lane registers per 8-stripe
+/// group, in exactly the operation order of [`portable`].
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    /// Reduces `acc0`/`acc1` (stripes 0..4 / 4..8) in the canonical order:
+    /// `add(acc0, acc1)` gives lane `k = l_k + l_{k+4}`, halves add to
+    /// `(v0+v2, v1+v3)`, lanes add to the total.
+    #[inline]
+    fn reduce8(acc0: __m256d, acc1: __m256d) -> f64 {
+        // SAFETY: this module is only compiled for targets with AVX2, and
+        // these intrinsics touch registers only.
+        unsafe {
+            let v = _mm256_add_pd(acc0, acc1);
+            let lo = _mm256_castpd256_pd128(v);
+            let hi = _mm256_extractf128_pd(v, 1);
+            let s = _mm_add_pd(lo, hi);
+            _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s))
         }
     }
-}
 
-/// Test hook: `true` pins every kernel to the scalar twin; `false` clears
-/// the pin and re-runs detection on the next call. Because both paths are
-/// bitwise-identical this only affects speed, never results.
-pub fn set_force_scalar(on: bool) {
-    MODE.store(if on { 2 } else { 0 }, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Scalar twins: the reference implementations that define the bit pattern.
-// ---------------------------------------------------------------------------
-
-/// Combines eight stripe accumulators in the fixed AVX2 reduction shape:
-/// pairwise across the two vector registers, then across 128-bit halves,
-/// then across lanes.
-#[inline]
-fn combine8(acc: [f64; 8]) -> f64 {
-    let v = [acc[0] + acc[4], acc[1] + acc[5], acc[2] + acc[6], acc[3] + acc[7]];
-    (v[0] + v[2]) + (v[1] + v[3])
-}
-
-/// Scalar twin of [`dot`]: 8-stripe lane-group accumulation.
-pub fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
-    let n = x.len();
-    let mut acc = [0.0f64; 8];
-    let mut i = 0;
-    while i + 8 <= n {
-        for (k, a) in acc.iter_mut().enumerate() {
-            *a += x[i + k] * y[i + k];
+    /// Dot product `x · y` in the lane-group order.
+    ///
+    /// # Panics
+    /// Panics if the slices have different lengths.
+    pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+        assert_eq!(x.len(), y.len(), "dot: length mismatch ({} vs {})", x.len(), y.len());
+        let n = x.len();
+        let (px, py) = (x.as_ptr(), y.as_ptr());
+        let mut i = 0;
+        // SAFETY: the target has AVX2 (module cfg); every load reads four
+        // lanes at `i` or `i + 4` with `i + 8 <= n`, in bounds of both
+        // slices since their lengths are equal (asserted above).
+        let (acc0, acc1) = unsafe {
+            let mut acc0 = _mm256_setzero_pd();
+            let mut acc1 = _mm256_setzero_pd();
+            while i + 8 <= n {
+                acc0 = _mm256_add_pd(
+                    acc0,
+                    _mm256_mul_pd(_mm256_loadu_pd(px.add(i)), _mm256_loadu_pd(py.add(i))),
+                );
+                acc1 = _mm256_add_pd(
+                    acc1,
+                    _mm256_mul_pd(_mm256_loadu_pd(px.add(i + 4)), _mm256_loadu_pd(py.add(i + 4))),
+                );
+                i += 8;
+            }
+            (acc0, acc1)
+        };
+        let mut total = reduce8(acc0, acc1);
+        while i < n {
+            total += x[i] * y[i];
+            i += 1;
         }
-        i += 8;
+        total
     }
-    let mut total = combine8(acc);
-    while i < n {
-        total += x[i] * y[i];
-        i += 1;
-    }
-    total
-}
 
-/// Scalar twin of [`sum`]: 8-stripe lane-group accumulation.
-pub fn sum_scalar(x: &[f64]) -> f64 {
-    let n = x.len();
-    let mut acc = [0.0f64; 8];
-    let mut i = 0;
-    while i + 8 <= n {
-        for (k, a) in acc.iter_mut().enumerate() {
-            *a += x[i + k];
+    /// Sum of all entries in the lane-group order.
+    pub fn sum(x: &[f64]) -> f64 {
+        let n = x.len();
+        let px = x.as_ptr();
+        let mut i = 0;
+        // SAFETY: the target has AVX2 (module cfg); every load reads four
+        // lanes at `i` or `i + 4` with `i + 8 <= n`.
+        let (acc0, acc1) = unsafe {
+            let mut acc0 = _mm256_setzero_pd();
+            let mut acc1 = _mm256_setzero_pd();
+            while i + 8 <= n {
+                acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(px.add(i)));
+                acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(px.add(i + 4)));
+                i += 8;
+            }
+            (acc0, acc1)
+        };
+        let mut total = reduce8(acc0, acc1);
+        while i < n {
+            total += x[i];
+            i += 1;
         }
-        i += 8;
+        total
     }
-    let mut total = combine8(acc);
-    while i < n {
-        total += x[i];
-        i += 1;
-    }
-    total
-}
 
-/// Scalar twin of [`dist2_sq`]: 8-stripe lane-group accumulation of
-/// `(x−y)²`.
-pub fn dist2_sq_scalar(x: &[f64], y: &[f64]) -> f64 {
-    let n = x.len();
-    let mut acc = [0.0f64; 8];
-    let mut i = 0;
-    while i + 8 <= n {
-        for (k, a) in acc.iter_mut().enumerate() {
-            let d = x[i + k] - y[i + k];
-            *a += d * d;
+    /// Squared Euclidean distance `‖x − y‖₂²` in the lane-group order.
+    ///
+    /// # Panics
+    /// Panics if the slices have different lengths.
+    pub fn dist2_sq(x: &[f64], y: &[f64]) -> f64 {
+        assert_eq!(x.len(), y.len(), "dist2_sq: length mismatch");
+        let n = x.len();
+        let (px, py) = (x.as_ptr(), y.as_ptr());
+        let mut i = 0;
+        // SAFETY: as in `dot`: AVX2 target, equal lengths, `i + 8 <= n`.
+        let (acc0, acc1) = unsafe {
+            let mut acc0 = _mm256_setzero_pd();
+            let mut acc1 = _mm256_setzero_pd();
+            while i + 8 <= n {
+                let d0 = _mm256_sub_pd(_mm256_loadu_pd(px.add(i)), _mm256_loadu_pd(py.add(i)));
+                let d1 =
+                    _mm256_sub_pd(_mm256_loadu_pd(px.add(i + 4)), _mm256_loadu_pd(py.add(i + 4)));
+                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
+                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
+                i += 8;
+            }
+            (acc0, acc1)
+        };
+        let mut total = reduce8(acc0, acc1);
+        while i < n {
+            let d = x[i] - y[i];
+            total += d * d;
+            i += 1;
         }
-        i += 8;
+        total
     }
-    let mut total = combine8(acc);
-    while i < n {
-        let d = x[i] - y[i];
-        total += d * d;
-        i += 1;
-    }
-    total
-}
 
-/// Scalar twin of [`dist2_sq_both`]: two independent 8-stripe reductions
-/// over one pass.
-pub fn dist2_sq_both_scalar(x: &[f64], y: &[f64]) -> (f64, f64) {
-    let n = x.len();
-    let mut am = [0.0f64; 8];
-    let mut ap = [0.0f64; 8];
-    let mut i = 0;
-    while i + 8 <= n {
-        for k in 0..8 {
-            let d = x[i + k] - y[i + k];
-            am[k] += d * d;
-            let s = x[i + k] + y[i + k];
-            ap[k] += s * s;
+    /// Both squared distances `(‖x − y‖₂², ‖x + y‖₂²)` in one pass, each in
+    /// the lane-group order — bit-identical to two [`dist2_sq`] calls, the
+    /// second on a sign-flipped `y`.
+    ///
+    /// # Panics
+    /// Panics if the slices have different lengths.
+    pub fn dist2_sq_both(x: &[f64], y: &[f64]) -> (f64, f64) {
+        assert_eq!(x.len(), y.len(), "dist2_sq_both: length mismatch");
+        let n = x.len();
+        let (px, py) = (x.as_ptr(), y.as_ptr());
+        let mut i = 0;
+        // SAFETY: as in `dot`: AVX2 target, equal lengths, `i + 8 <= n`.
+        let (am0, am1, ap0, ap1) = unsafe {
+            let mut am0 = _mm256_setzero_pd();
+            let mut am1 = _mm256_setzero_pd();
+            let mut ap0 = _mm256_setzero_pd();
+            let mut ap1 = _mm256_setzero_pd();
+            while i + 8 <= n {
+                let x0 = _mm256_loadu_pd(px.add(i));
+                let y0 = _mm256_loadu_pd(py.add(i));
+                let x1 = _mm256_loadu_pd(px.add(i + 4));
+                let y1 = _mm256_loadu_pd(py.add(i + 4));
+                let d0 = _mm256_sub_pd(x0, y0);
+                let d1 = _mm256_sub_pd(x1, y1);
+                am0 = _mm256_add_pd(am0, _mm256_mul_pd(d0, d0));
+                am1 = _mm256_add_pd(am1, _mm256_mul_pd(d1, d1));
+                let s0 = _mm256_add_pd(x0, y0);
+                let s1 = _mm256_add_pd(x1, y1);
+                ap0 = _mm256_add_pd(ap0, _mm256_mul_pd(s0, s0));
+                ap1 = _mm256_add_pd(ap1, _mm256_mul_pd(s1, s1));
+                i += 8;
+            }
+            (am0, am1, ap0, ap1)
+        };
+        let mut minus = reduce8(am0, am1);
+        let mut plus = reduce8(ap0, ap1);
+        while i < n {
+            let d = x[i] - y[i];
+            minus += d * d;
+            let s = x[i] + y[i];
+            plus += s * s;
+            i += 1;
         }
-        i += 8;
+        (minus, plus)
     }
-    let mut minus = combine8(am);
-    let mut plus = combine8(ap);
-    while i < n {
-        let d = x[i] - y[i];
-        minus += d * d;
-        let s = x[i] + y[i];
-        plus += s * s;
-        i += 1;
-    }
-    (minus, plus)
 }
 
-/// Scalar twin of [`axpy`]: element-wise `y[i] += alpha * x[i]`.
-pub fn axpy_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
+/// In-place `y ← y + alpha · x`.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
 }
 
-/// Scalar twin of [`scale`]: element-wise `x[i] *= alpha`.
-pub fn scale_scalar(alpha: f64, x: &mut [f64]) {
+/// In-place scaling `x ← alpha · x`.
+pub fn scale(alpha: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi *= alpha;
     }
 }
-
-/// Scalar twin of [`gemm_tile1`]: one output row segment against a packed
-/// panel; each element accumulates ascending-`l` with a single running
-/// accumulator seeded from the output.
-pub fn gemm_tile1_scalar(a: &[f64], panel: &[f64], nc: usize, out: &mut [f64]) {
-    debug_assert_eq!(panel.len(), a.len() * nc);
-    debug_assert_eq!(out.len(), nc);
-    for (j, o) in out.iter_mut().enumerate() {
-        let mut acc = *o;
-        for (l, &al) in a.iter().enumerate() {
-            acc += al * panel[l * nc + j];
-        }
-        *o = acc;
-    }
-}
-
-/// Scalar twin of [`gemm_tile4`]: four output row segments against one
-/// packed panel, same per-element order as four [`gemm_tile1_scalar`] calls.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tile4_scalar(
-    a: [&[f64]; 4],
-    panel: &[f64],
-    nc: usize,
-    o0: &mut [f64],
-    o1: &mut [f64],
-    o2: &mut [f64],
-    o3: &mut [f64],
-) {
-    gemm_tile1_scalar(a[0], panel, nc, o0);
-    gemm_tile1_scalar(a[1], panel, nc, o1);
-    gemm_tile1_scalar(a[2], panel, nc, o2);
-    gemm_tile1_scalar(a[3], panel, nc, o3);
-}
-
-// ---------------------------------------------------------------------------
-// Micro-strip packed panels: the layout the blocked GEMM feeds the kernels.
-// ---------------------------------------------------------------------------
 
 /// Column width of one micro-strip inside a packed panel.
 pub const STRIP: usize = 8;
@@ -226,8 +340,12 @@ pub const STRIP: usize = 8;
 /// sequence of column strips of width [`STRIP`] (plus one `nc % STRIP`
 /// remainder strip), each strip row-major — element `(l, j)` of strip `s`
 /// lives at `s·kc·STRIP + l·w + (j − s·STRIP)` where `w` is the strip
-/// width. The GEMM microkernels then read the panel purely sequentially,
-/// which is what keeps them fast when the panel streams from L2/L3.
+/// width. [`gemm_tile_packed`] then reads the panel purely sequentially,
+/// which is what keeps it fast when the panel streams from L2/L3.
+///
+/// # Panics
+/// Panics if `dst` holds fewer than `kc · nc` values or the panel reaches
+/// past the end of `b`.
 pub fn pack_panel(
     b: &[f64],
     ld: usize,
@@ -237,7 +355,7 @@ pub fn pack_panel(
     nc: usize,
     dst: &mut [f64],
 ) {
-    debug_assert!(dst.len() >= kc * nc, "pack_panel: destination too small");
+    assert!(dst.len() >= kc * nc, "pack_panel: destination too small");
     let mut off = 0;
     let mut js = 0;
     while js < nc {
@@ -252,653 +370,68 @@ pub fn pack_panel(
     }
 }
 
-/// Scalar twin of [`gemm_tile1_packed`]: one output row segment against a
-/// micro-strip packed panel; identical per-element ascending-`l` order as
-/// [`gemm_tile1_scalar`] on the row-major layout.
-pub fn gemm_tile1_packed_scalar(a: &[f64], panel: &[f64], nc: usize, out: &mut [f64]) {
-    let kc = a.len();
-    let mut off = 0;
-    let mut js = 0;
-    while js < nc {
-        let w = STRIP.min(nc - js);
-        let strip = &panel[off..off + kc * w];
-        for (jj, o) in out[js..js + w].iter_mut().enumerate() {
-            let mut acc = *o;
-            for (l, &al) in a.iter().enumerate() {
-                acc += al * strip[l * w + jj];
-            }
-            *o = acc;
-        }
-        off += kc * w;
-        js += w;
-    }
-}
-
-/// Scalar twin of [`gemm_tile4_packed`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tile4_packed_scalar(
-    a: [&[f64]; 4],
+/// Register-tiled GEMM microkernel over a micro-strip packed panel (see
+/// [`pack_panel`]): `out[r][j] += Σ_l a[r][l] · B[l][j]` for `R` output row
+/// segments at once. The blocked product runs it with `R = 4`, which loads
+/// each packed strip row once per four output rows and keeps the `4 × 8`
+/// output tile in registers across the whole shared dimension, and with
+/// `R = 1` for leftover rows. Every output element accumulates its terms in
+/// ascending `l` with one running accumulator seeded from `out`, so the
+/// result is bit-identical to the naive ikj loop.
+///
+/// # Panics
+/// Panics if the `a` segments differ in length, if `panel` holds fewer than
+/// `a[0].len() · nc` values, or if an output segment is not `nc` long.
+pub fn gemm_tile_packed<const R: usize>(
+    a: [&[f64]; R],
     panel: &[f64],
     nc: usize,
-    o0: &mut [f64],
-    o1: &mut [f64],
-    o2: &mut [f64],
-    o3: &mut [f64],
+    mut out: [&mut [f64]; R],
 ) {
-    gemm_tile1_packed_scalar(a[0], panel, nc, o0);
-    gemm_tile1_packed_scalar(a[1], panel, nc, o1);
-    gemm_tile1_packed_scalar(a[2], panel, nc, o2);
-    gemm_tile1_packed_scalar(a[3], panel, nc, o3);
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 implementations (x86_64 only; callers dispatch through simd_active).
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// Reduces `acc0`/`acc1` (stripes 0..4 / 4..8) in the canonical order:
-    /// `add(acc0, acc1)` gives lane `k = l_k + l_{k+4}`, halves add to
-    /// `(v0+v2, v1+v3)`, lanes add to the total.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn reduce8(acc0: __m256d, acc1: __m256d) -> f64 {
-        let v = _mm256_add_pd(acc0, acc1);
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd(v, 1);
-        let s = _mm_add_pd(lo, hi);
-        let s0 = _mm_cvtsd_f64(s);
-        let s1 = _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-        s0 + s1
+    let kc = a[0].len();
+    assert!(a.iter().all(|s| s.len() == kc), "gemm_tile_packed: ragged lhs segments");
+    assert!(panel.len() >= kc * nc, "gemm_tile_packed: panel too small");
+    assert!(out.iter().all(|o| o.len() == nc), "gemm_tile_packed: output length mismatch");
+    if kc == 0 {
+        // Nothing to add, and `chunks_exact` below needs a nonzero width.
+        return;
     }
-
-    /// # Safety
-    /// Requires AVX2; `x` and `y` must have equal lengths.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        let (px, py) = (x.as_ptr(), y.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            acc0 = _mm256_add_pd(
-                acc0,
-                _mm256_mul_pd(_mm256_loadu_pd(px.add(i)), _mm256_loadu_pd(py.add(i))),
-            );
-            acc1 = _mm256_add_pd(
-                acc1,
-                _mm256_mul_pd(_mm256_loadu_pd(px.add(i + 4)), _mm256_loadu_pd(py.add(i + 4))),
-            );
-            i += 8;
+    let full = nc - nc % STRIP;
+    let (strips, rest) = panel[..kc * nc].split_at(kc * full);
+    let (rows, _) = strips.as_chunks::<STRIP>();
+    for (s, strip) in rows.chunks_exact(kc).enumerate() {
+        let cols = s * STRIP..(s + 1) * STRIP;
+        let mut acc = [[0.0f64; STRIP]; R];
+        for (c, o) in acc.iter_mut().zip(&out) {
+            c.copy_from_slice(&o[cols.clone()]);
         }
-        let mut total = reduce8(acc0, acc1);
-        while i < n {
-            total += x[i] * y[i];
-            i += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sum(x: &[f64]) -> f64 {
-        let n = x.len();
-        let px = x.as_ptr();
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(px.add(i)));
-            acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(px.add(i + 4)));
-            i += 8;
-        }
-        let mut total = reduce8(acc0, acc1);
-        while i < n {
-            total += x[i];
-            i += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// Requires AVX2; `x` and `y` must have equal lengths.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dist2_sq(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        let (px, py) = (x.as_ptr(), y.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            let d0 = _mm256_sub_pd(_mm256_loadu_pd(px.add(i)), _mm256_loadu_pd(py.add(i)));
-            let d1 = _mm256_sub_pd(_mm256_loadu_pd(px.add(i + 4)), _mm256_loadu_pd(py.add(i + 4)));
-            acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
-            acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
-            i += 8;
-        }
-        let mut total = reduce8(acc0, acc1);
-        while i < n {
-            let d = x[i] - y[i];
-            total += d * d;
-            i += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// Requires AVX2; `x` and `y` must have equal lengths.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dist2_sq_both(x: &[f64], y: &[f64]) -> (f64, f64) {
-        let n = x.len();
-        let (px, py) = (x.as_ptr(), y.as_ptr());
-        let mut am0 = _mm256_setzero_pd();
-        let mut am1 = _mm256_setzero_pd();
-        let mut ap0 = _mm256_setzero_pd();
-        let mut ap1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            let x0 = _mm256_loadu_pd(px.add(i));
-            let y0 = _mm256_loadu_pd(py.add(i));
-            let x1 = _mm256_loadu_pd(px.add(i + 4));
-            let y1 = _mm256_loadu_pd(py.add(i + 4));
-            let d0 = _mm256_sub_pd(x0, y0);
-            let d1 = _mm256_sub_pd(x1, y1);
-            am0 = _mm256_add_pd(am0, _mm256_mul_pd(d0, d0));
-            am1 = _mm256_add_pd(am1, _mm256_mul_pd(d1, d1));
-            let s0 = _mm256_add_pd(x0, y0);
-            let s1 = _mm256_add_pd(x1, y1);
-            ap0 = _mm256_add_pd(ap0, _mm256_mul_pd(s0, s0));
-            ap1 = _mm256_add_pd(ap1, _mm256_mul_pd(s1, s1));
-            i += 8;
-        }
-        let mut minus = reduce8(am0, am1);
-        let mut plus = reduce8(ap0, ap1);
-        while i < n {
-            let d = x[i] - y[i];
-            minus += d * d;
-            let s = x[i] + y[i];
-            plus += s * s;
-            i += 1;
-        }
-        (minus, plus)
-    }
-
-    /// # Safety
-    /// Requires AVX2; `x` and `y` must have equal lengths.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        let px = x.as_ptr();
-        let py = y.as_mut_ptr();
-        let va = _mm256_set1_pd(alpha);
-        let mut i = 0;
-        while i + 8 <= n {
-            let y0 = _mm256_add_pd(
-                _mm256_loadu_pd(py.add(i)),
-                _mm256_mul_pd(va, _mm256_loadu_pd(px.add(i))),
-            );
-            let y1 = _mm256_add_pd(
-                _mm256_loadu_pd(py.add(i + 4)),
-                _mm256_mul_pd(va, _mm256_loadu_pd(px.add(i + 4))),
-            );
-            _mm256_storeu_pd(py.add(i), y0);
-            _mm256_storeu_pd(py.add(i + 4), y1);
-            i += 8;
-        }
-        if i + 4 <= n {
-            let y0 = _mm256_add_pd(
-                _mm256_loadu_pd(py.add(i)),
-                _mm256_mul_pd(va, _mm256_loadu_pd(px.add(i))),
-            );
-            _mm256_storeu_pd(py.add(i), y0);
-            i += 4;
-        }
-        while i < n {
-            y[i] += alpha * x[i];
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale(alpha: f64, x: &mut [f64]) {
-        let n = x.len();
-        let px = x.as_mut_ptr();
-        let va = _mm256_set1_pd(alpha);
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_pd(px.add(i), _mm256_mul_pd(va, _mm256_loadu_pd(px.add(i))));
-            _mm256_storeu_pd(px.add(i + 4), _mm256_mul_pd(va, _mm256_loadu_pd(px.add(i + 4))));
-            i += 8;
-        }
-        if i + 4 <= n {
-            _mm256_storeu_pd(px.add(i), _mm256_mul_pd(va, _mm256_loadu_pd(px.add(i))));
-            i += 4;
-        }
-        while i < n {
-            x[i] *= alpha;
-            i += 1;
-        }
-    }
-
-    /// Single-row register-tiled GEMM microkernel: `out[j] += Σ_l a[l] ·
-    /// panel[l·nc + j]` with the output segment held in registers across the
-    /// whole `kc` loop (8 columns per step, 2 ymm accumulators), seeded from
-    /// `out` so multi-strip accumulation keeps ascending-`l` order.
-    ///
-    /// # Safety
-    /// Requires AVX2; `panel.len() == a.len() * nc`, `out.len() == nc`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_tile1(a: &[f64], panel: &[f64], nc: usize, out: &mut [f64]) {
-        let kc = a.len();
-        let pp = panel.as_ptr();
-        let po = out.as_mut_ptr();
-        let mut j = 0;
-        while j + 8 <= nc {
-            let mut acc0 = _mm256_loadu_pd(po.add(j));
-            let mut acc1 = _mm256_loadu_pd(po.add(j + 4));
-            for (l, &al) in a.iter().enumerate() {
-                let va = _mm256_set1_pd(al);
-                let base = pp.add(l * nc + j);
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_loadu_pd(base)));
-                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(va, _mm256_loadu_pd(base.add(4))));
-            }
-            _mm256_storeu_pd(po.add(j), acc0);
-            _mm256_storeu_pd(po.add(j + 4), acc1);
-            j += 8;
-        }
-        if j + 4 <= nc {
-            let mut acc0 = _mm256_loadu_pd(po.add(j));
-            for (l, &al) in a.iter().enumerate() {
-                let va = _mm256_set1_pd(al);
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_loadu_pd(pp.add(l * nc + j))));
-            }
-            _mm256_storeu_pd(po.add(j), acc0);
-            j += 4;
-        }
-        while j < nc {
-            let mut acc = out[j];
-            for l in 0..kc {
-                acc += a[l] * panel[l * nc + j];
-            }
-            out[j] = acc;
-            j += 1;
-        }
-    }
-
-    /// Four-row register-tiled GEMM microkernel: a 4×8 block of outputs
-    /// lives in 8 ymm accumulators across the whole `kc` loop, so each
-    /// packed panel row is loaded once per four output rows and each output
-    /// element is written exactly once per strip.
-    ///
-    /// # Safety
-    /// Requires AVX2; all `a[r]` share one length `kc`, `panel.len() == kc *
-    /// nc`, each output slice has length `nc`.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gemm_tile4(
-        a: [&[f64]; 4],
-        panel: &[f64],
-        nc: usize,
-        o0: &mut [f64],
-        o1: &mut [f64],
-        o2: &mut [f64],
-        o3: &mut [f64],
-    ) {
-        let kc = a[0].len();
-        let pp = panel.as_ptr();
-        let (a0, a1, a2, a3) = (a[0].as_ptr(), a[1].as_ptr(), a[2].as_ptr(), a[3].as_ptr());
-        let (p0, p1, p2, p3) = (o0.as_mut_ptr(), o1.as_mut_ptr(), o2.as_mut_ptr(), o3.as_mut_ptr());
-        let mut j = 0;
-        while j + 8 <= nc {
-            let mut c00 = _mm256_loadu_pd(p0.add(j));
-            let mut c01 = _mm256_loadu_pd(p0.add(j + 4));
-            let mut c10 = _mm256_loadu_pd(p1.add(j));
-            let mut c11 = _mm256_loadu_pd(p1.add(j + 4));
-            let mut c20 = _mm256_loadu_pd(p2.add(j));
-            let mut c21 = _mm256_loadu_pd(p2.add(j + 4));
-            let mut c30 = _mm256_loadu_pd(p3.add(j));
-            let mut c31 = _mm256_loadu_pd(p3.add(j + 4));
-            for l in 0..kc {
-                let base = pp.add(l * nc + j);
-                let b0 = _mm256_loadu_pd(base);
-                let b1 = _mm256_loadu_pd(base.add(4));
-                let v0 = _mm256_set1_pd(*a0.add(l));
-                c00 = _mm256_add_pd(c00, _mm256_mul_pd(v0, b0));
-                c01 = _mm256_add_pd(c01, _mm256_mul_pd(v0, b1));
-                let v1 = _mm256_set1_pd(*a1.add(l));
-                c10 = _mm256_add_pd(c10, _mm256_mul_pd(v1, b0));
-                c11 = _mm256_add_pd(c11, _mm256_mul_pd(v1, b1));
-                let v2 = _mm256_set1_pd(*a2.add(l));
-                c20 = _mm256_add_pd(c20, _mm256_mul_pd(v2, b0));
-                c21 = _mm256_add_pd(c21, _mm256_mul_pd(v2, b1));
-                let v3 = _mm256_set1_pd(*a3.add(l));
-                c30 = _mm256_add_pd(c30, _mm256_mul_pd(v3, b0));
-                c31 = _mm256_add_pd(c31, _mm256_mul_pd(v3, b1));
-            }
-            _mm256_storeu_pd(p0.add(j), c00);
-            _mm256_storeu_pd(p0.add(j + 4), c01);
-            _mm256_storeu_pd(p1.add(j), c10);
-            _mm256_storeu_pd(p1.add(j + 4), c11);
-            _mm256_storeu_pd(p2.add(j), c20);
-            _mm256_storeu_pd(p2.add(j + 4), c21);
-            _mm256_storeu_pd(p3.add(j), c30);
-            _mm256_storeu_pd(p3.add(j + 4), c31);
-            j += 8;
-        }
-        if j < nc {
-            gemm_tile1(a[0], panel, nc, o0);
-            gemm_tile1(a[1], panel, nc, o1);
-            gemm_tile1(a[2], panel, nc, o2);
-            gemm_tile1(a[3], panel, nc, o3);
-            // gemm_tile1 re-processed the leading 8-wide columns too — undo
-            // is impossible, so this branch must never be taken with j > 0.
-            unreachable!("gemm_tile4 tail fell through with a partial prefix");
-        }
-    }
-
-    /// Single-row microkernel over a micro-strip packed panel (sequential
-    /// panel reads; see [`super::pack_panel`] for the layout).
-    ///
-    /// # Safety
-    /// Requires AVX2; `panel` must hold a `a.len() × nc` micro-strip packed
-    /// panel and `out` must have length `nc`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_tile1_packed(a: &[f64], panel: &[f64], nc: usize, out: &mut [f64]) {
-        let kc = a.len();
-        let po = out.as_mut_ptr();
-        let mut off = 0;
-        let mut js = 0;
-        while js + 8 <= nc {
-            let sp = panel.as_ptr().add(off);
-            let mut acc0 = _mm256_loadu_pd(po.add(js));
-            let mut acc1 = _mm256_loadu_pd(po.add(js + 4));
-            for (l, &al) in a.iter().enumerate() {
-                let va = _mm256_set1_pd(al);
-                let base = sp.add(l * 8);
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_loadu_pd(base)));
-                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(va, _mm256_loadu_pd(base.add(4))));
-            }
-            _mm256_storeu_pd(po.add(js), acc0);
-            _mm256_storeu_pd(po.add(js + 4), acc1);
-            off += kc * 8;
-            js += 8;
-        }
-        if js < nc {
-            let w = nc - js;
-            let strip = &panel[off..off + kc * w];
-            for (jj, o) in out[js..js + w].iter_mut().enumerate() {
-                let mut acc = *o;
-                for (l, &al) in a.iter().enumerate() {
-                    acc += al * strip[l * w + jj];
-                }
-                *o = acc;
-            }
-        }
-    }
-
-    /// Four-row microkernel over a micro-strip packed panel: the 4×8 output
-    /// tile lives in 8 ymm accumulators for the whole shared-dimension loop
-    /// and the packed strip is read purely sequentially.
-    ///
-    /// # Safety
-    /// Requires AVX2; all `a[r]` share one length, `panel` holds the
-    /// micro-strip packed panel, each output slice has length `nc`.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gemm_tile4_packed(
-        a: [&[f64]; 4],
-        panel: &[f64],
-        nc: usize,
-        o0: &mut [f64],
-        o1: &mut [f64],
-        o2: &mut [f64],
-        o3: &mut [f64],
-    ) {
-        let kc = a[0].len();
-        let (a0, a1, a2, a3) = (a[0].as_ptr(), a[1].as_ptr(), a[2].as_ptr(), a[3].as_ptr());
-        let (p0, p1, p2, p3) = (o0.as_mut_ptr(), o1.as_mut_ptr(), o2.as_mut_ptr(), o3.as_mut_ptr());
-        let mut off = 0;
-        let mut js = 0;
-        while js + 8 <= nc {
-            let sp = panel.as_ptr().add(off);
-            let mut c00 = _mm256_loadu_pd(p0.add(js));
-            let mut c01 = _mm256_loadu_pd(p0.add(js + 4));
-            let mut c10 = _mm256_loadu_pd(p1.add(js));
-            let mut c11 = _mm256_loadu_pd(p1.add(js + 4));
-            let mut c20 = _mm256_loadu_pd(p2.add(js));
-            let mut c21 = _mm256_loadu_pd(p2.add(js + 4));
-            let mut c30 = _mm256_loadu_pd(p3.add(js));
-            let mut c31 = _mm256_loadu_pd(p3.add(js + 4));
-            for l in 0..kc {
-                let base = sp.add(l * 8);
-                let b0 = _mm256_loadu_pd(base);
-                let b1 = _mm256_loadu_pd(base.add(4));
-                let v0 = _mm256_set1_pd(*a0.add(l));
-                c00 = _mm256_add_pd(c00, _mm256_mul_pd(v0, b0));
-                c01 = _mm256_add_pd(c01, _mm256_mul_pd(v0, b1));
-                let v1 = _mm256_set1_pd(*a1.add(l));
-                c10 = _mm256_add_pd(c10, _mm256_mul_pd(v1, b0));
-                c11 = _mm256_add_pd(c11, _mm256_mul_pd(v1, b1));
-                let v2 = _mm256_set1_pd(*a2.add(l));
-                c20 = _mm256_add_pd(c20, _mm256_mul_pd(v2, b0));
-                c21 = _mm256_add_pd(c21, _mm256_mul_pd(v2, b1));
-                let v3 = _mm256_set1_pd(*a3.add(l));
-                c30 = _mm256_add_pd(c30, _mm256_mul_pd(v3, b0));
-                c31 = _mm256_add_pd(c31, _mm256_mul_pd(v3, b1));
-            }
-            _mm256_storeu_pd(p0.add(js), c00);
-            _mm256_storeu_pd(p0.add(js + 4), c01);
-            _mm256_storeu_pd(p1.add(js), c10);
-            _mm256_storeu_pd(p1.add(js + 4), c11);
-            _mm256_storeu_pd(p2.add(js), c20);
-            _mm256_storeu_pd(p2.add(js + 4), c21);
-            _mm256_storeu_pd(p3.add(js), c30);
-            _mm256_storeu_pd(p3.add(js + 4), c31);
-            off += kc * 8;
-            js += 8;
-        }
-        if js < nc {
-            let w = nc - js;
-            let strip = &panel[off..off + kc * w];
-            for (r, out) in [o0, o1, o2, o3].into_iter().enumerate() {
-                let ar = a[r];
-                for (jj, o) in out[js..js + w].iter_mut().enumerate() {
-                    let mut acc = *o;
-                    for (l, &al) in ar.iter().enumerate() {
-                        acc += al * strip[l * w + jj];
-                    }
-                    *o = acc;
+        // Written as a count over `0..kc` with the segments taken by value,
+        // the loop compiles to the same broadcast/multiply/add sequence over
+        // `R × 2` ymm accumulators as hand-written AVX2; iterator forms kept
+        // a bounds check on `ar[l]` in it that slowed the blocked GEMM by
+        // about 10 %.
+        for l in 0..kc {
+            for (c, ar) in acc.iter_mut().zip(a) {
+                let al = ar[l];
+                for (cj, &bj) in c.iter_mut().zip(&strip[l]) {
+                    *cj += al * bj;
                 }
             }
         }
+        for (c, o) in acc.iter().zip(&mut out) {
+            o[cols.clone()].copy_from_slice(c);
+        }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatchers: the public entry points vec_ops and the matrix kernels call.
-// ---------------------------------------------------------------------------
-
-/// Dot product in the lane-group order (see module docs).
-#[inline]
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 availability checked by simd_active().
-        return unsafe { avx2::dot(x, y) };
+    let w = nc - full;
+    for (o, ar) in out.iter_mut().zip(a) {
+        for (jj, oj) in o[full..].iter_mut().enumerate() {
+            let mut acc = *oj;
+            for (l, &al) in ar.iter().enumerate() {
+                acc += al * rest[l * w + jj];
+            }
+            *oj = acc;
+        }
     }
-    dot_scalar(x, y)
-}
-
-/// Sum of all entries in the lane-group order.
-#[inline]
-pub fn sum(x: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 availability checked by simd_active().
-        return unsafe { avx2::sum(x) };
-    }
-    sum_scalar(x)
-}
-
-/// Squared Euclidean distance in the lane-group order.
-#[inline]
-pub fn dist2_sq(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 availability checked by simd_active().
-        return unsafe { avx2::dist2_sq(x, y) };
-    }
-    dist2_sq_scalar(x, y)
-}
-
-/// Both squared distances `(‖x − y‖², ‖x + y‖²)` in one pass, each in the
-/// lane-group order.
-#[inline]
-pub fn dist2_sq_both(x: &[f64], y: &[f64]) -> (f64, f64) {
-    debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 availability checked by simd_active().
-        return unsafe { avx2::dist2_sq_both(x, y) };
-    }
-    dist2_sq_both_scalar(x, y)
-}
-
-/// In-place `y ← y + alpha · x` (element-wise; order-free).
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 availability checked by simd_active().
-        unsafe { avx2::axpy(alpha, x, y) };
-        return;
-    }
-    axpy_scalar(alpha, x, y);
-}
-
-/// In-place `x ← alpha · x` (element-wise; order-free).
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 availability checked by simd_active().
-        unsafe { avx2::scale(alpha, x) };
-        return;
-    }
-    scale_scalar(alpha, x);
-}
-
-/// Single-row GEMM microkernel over one packed panel (see
-/// [`gemm_tile1_scalar`] for the order contract).
-#[inline]
-pub fn gemm_tile1(a: &[f64], panel: &[f64], nc: usize, out: &mut [f64]) {
-    debug_assert_eq!(panel.len(), a.len() * nc);
-    debug_assert_eq!(out.len(), nc);
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 availability checked by simd_active(); lengths
-        // validated above.
-        unsafe { avx2::gemm_tile1(a, panel, nc, out) };
-        return;
-    }
-    gemm_tile1_scalar(a, panel, nc, out);
-}
-
-/// Four-row GEMM microkernel over one packed panel. When `nc` is not a
-/// multiple of 8 the whole tile runs through [`gemm_tile1`] per row (the
-/// register-tiled AVX2 path requires full 8-wide column groups).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tile4(
-    a: [&[f64]; 4],
-    panel: &[f64],
-    nc: usize,
-    o0: &mut [f64],
-    o1: &mut [f64],
-    o2: &mut [f64],
-    o3: &mut [f64],
-) {
-    let kc = a[0].len();
-    debug_assert!(a.iter().all(|s| s.len() == kc), "gemm_tile4: ragged lhs segments");
-    debug_assert_eq!(panel.len(), kc * nc, "gemm_tile4: panel length mismatch");
-    debug_assert!(
-        o0.len() == nc && o1.len() == nc && o2.len() == nc && o3.len() == nc,
-        "gemm_tile4: output length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() && nc.is_multiple_of(8) {
-        // SAFETY: AVX2 availability checked by simd_active(); lengths
-        // validated above; nc is a multiple of 8 so the tail branch inside
-        // the kernel is unreachable.
-        unsafe { avx2::gemm_tile4(a, panel, nc, o0, o1, o2, o3) };
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        gemm_tile1(a[0], panel, nc, o0);
-        gemm_tile1(a[1], panel, nc, o1);
-        gemm_tile1(a[2], panel, nc, o2);
-        gemm_tile1(a[3], panel, nc, o3);
-        return;
-    }
-    gemm_tile4_scalar(a, panel, nc, o0, o1, o2, o3);
-}
-
-/// Single-row GEMM microkernel over a micro-strip packed panel (see
-/// [`pack_panel`]); bit-identical to [`gemm_tile1`] on the equivalent
-/// row-major panel.
-#[inline]
-pub fn gemm_tile1_packed(a: &[f64], panel: &[f64], nc: usize, out: &mut [f64]) {
-    debug_assert!(panel.len() >= a.len() * nc, "gemm_tile1_packed: panel too small");
-    debug_assert_eq!(out.len(), nc, "gemm_tile1_packed: output length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 availability checked by simd_active(); lengths
-        // validated above.
-        unsafe { avx2::gemm_tile1_packed(a, panel, nc, out) };
-        return;
-    }
-    gemm_tile1_packed_scalar(a, panel, nc, out);
-}
-
-/// Four-row GEMM microkernel over a micro-strip packed panel; bit-identical
-/// to [`gemm_tile4`] on the equivalent row-major panel.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tile4_packed(
-    a: [&[f64]; 4],
-    panel: &[f64],
-    nc: usize,
-    o0: &mut [f64],
-    o1: &mut [f64],
-    o2: &mut [f64],
-    o3: &mut [f64],
-) {
-    let kc = a[0].len();
-    debug_assert!(a.iter().all(|s| s.len() == kc), "gemm_tile4_packed: ragged lhs segments");
-    debug_assert!(panel.len() >= kc * nc, "gemm_tile4_packed: panel too small");
-    debug_assert!(
-        o0.len() == nc && o1.len() == nc && o2.len() == nc && o3.len() == nc,
-        "gemm_tile4_packed: output length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2 availability checked by simd_active(); lengths
-        // validated above.
-        unsafe { avx2::gemm_tile4_packed(a, panel, nc, o0, o1, o2, o3) };
-        return;
-    }
-    gemm_tile4_packed_scalar(a, panel, nc, o0, o1, o2, o3);
 }
 
 #[cfg(test)]
@@ -909,145 +442,178 @@ mod tests {
         (0..n).map(|i| (((i as u64 * 2654435761 + seed) % 1000) as f64 - 500.0) / 251.0).collect()
     }
 
-    /// Every dispatcher must agree with its scalar twin bit for bit on all
-    /// remainder widths; on AVX2 hardware this exercises the intrinsics,
-    /// elsewhere it is a self-consistency check.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every public kernel agrees bit for bit with its reference on all
+    /// remainder widths: the reductions with [`portable`] (on the portable
+    /// build they are the same function, and the pinned-bit test in
+    /// `tests/proptests.rs` carries the check), the element-wise kernels
+    /// with the plain per-element loop.
     #[test]
     fn simd_matches_scalar_twins_for_all_remainders() {
         for n in 0..40 {
             let x = vec_of(n, 1);
             let y = vec_of(n, 2);
-            assert_eq!(dot(&x, &y).to_bits(), dot_scalar(&x, &y).to_bits(), "dot n={n}");
-            assert_eq!(sum(&x).to_bits(), sum_scalar(&x).to_bits(), "sum n={n}");
+            assert_eq!(dot(&x, &y).to_bits(), portable::dot(&x, &y).to_bits(), "dot n={n}");
+            assert_eq!(sum(&x).to_bits(), portable::sum(&x).to_bits(), "sum n={n}");
             assert_eq!(
                 dist2_sq(&x, &y).to_bits(),
-                dist2_sq_scalar(&x, &y).to_bits(),
+                portable::dist2_sq(&x, &y).to_bits(),
                 "dist2_sq n={n}"
             );
             let (m, p) = dist2_sq_both(&x, &y);
-            let (ms, ps) = dist2_sq_both_scalar(&x, &y);
+            let (ms, ps) = portable::dist2_sq_both(&x, &y);
             assert_eq!((m.to_bits(), p.to_bits()), (ms.to_bits(), ps.to_bits()), "both n={n}");
             let mut ya = vec_of(n, 3);
             let mut yb = ya.clone();
             axpy(0.37, &x, &mut ya);
-            axpy_scalar(0.37, &x, &mut yb);
-            assert!(ya.iter().zip(&yb).all(|(a, b)| a.to_bits() == b.to_bits()), "axpy n={n}");
+            for (yi, xi) in yb.iter_mut().zip(&x) {
+                *yi += 0.37 * xi;
+            }
+            assert_eq!(bits(&ya), bits(&yb), "axpy n={n}");
             scale(-1.25, &mut ya);
-            scale_scalar(-1.25, &mut yb);
-            assert!(ya.iter().zip(&yb).all(|(a, b)| a.to_bits() == b.to_bits()), "scale n={n}");
+            for yi in yb.iter_mut() {
+                *yi *= -1.25;
+            }
+            assert_eq!(bits(&ya), bits(&yb), "scale n={n}");
         }
     }
 
+    /// The 1-row and 4-row packed tiles reproduce the naive ikj loop over the
+    /// row-major panel bit for bit: full strips, the remainder strip, both,
+    /// and an empty shared dimension.
     #[test]
     fn gemm_tiles_match_scalar_twins_bitwise() {
-        for nc in [1usize, 3, 4, 7, 8, 11, 16, 24] {
-            for kc in [0usize, 1, 2, 5, 16] {
-                let panel = vec_of(kc * nc, 9);
-                let segs: Vec<Vec<f64>> = (0..4).map(|r| vec_of(kc, 10 + r as u64)).collect();
-                let mut simd_rows: Vec<Vec<f64>> =
-                    (0..4).map(|r| vec_of(nc, 20 + r as u64)).collect();
-                let mut ref_rows = simd_rows.clone();
-                {
-                    let [s0, s1, s2, s3] = &mut simd_rows[..] else { unreachable!() };
-                    gemm_tile4(
-                        [&segs[0], &segs[1], &segs[2], &segs[3]],
-                        &panel,
-                        nc,
-                        s0,
-                        s1,
-                        s2,
-                        s3,
-                    );
-                }
-                {
-                    let [r0, r1, r2, r3] = &mut ref_rows[..] else { unreachable!() };
-                    gemm_tile4_scalar(
-                        [&segs[0], &segs[1], &segs[2], &segs[3]],
-                        &panel,
-                        nc,
-                        r0,
-                        r1,
-                        r2,
-                        r3,
-                    );
-                }
-                for (s, r) in simd_rows.iter().flatten().zip(ref_rows.iter().flatten()) {
-                    assert_eq!(s.to_bits(), r.to_bits(), "tile4 nc={nc} kc={kc}");
-                }
-                let mut one = vec_of(nc, 30);
-                let mut one_ref = one.clone();
-                gemm_tile1(&segs[0], &panel, nc, &mut one);
-                gemm_tile1_scalar(&segs[0], &panel, nc, &mut one_ref);
-                for (s, r) in one.iter().zip(&one_ref) {
-                    assert_eq!(s.to_bits(), r.to_bits(), "tile1 nc={nc} kc={kc}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_kernels_match_row_major_kernels_bitwise() {
-        // Pack a row-major panel into micro-strips and require bitwise
-        // agreement with the row-major kernels (and the scalar twins) for
-        // widths exercising full strips, the remainder strip, and both.
-        for nc in [1usize, 5, 8, 13, 16, 24, 29] {
-            for kc in [0usize, 1, 3, 7, 32] {
-                let row_major = vec_of(kc * nc, 40);
+        for nc in [1usize, 3, 4, 5, 7, 8, 11, 13, 16, 24, 29] {
+            for kc in [0usize, 1, 2, 3, 5, 7, 16, 32] {
+                let row_major = vec_of(kc * nc, 9);
                 let mut packed = vec![0.0; kc * nc];
                 pack_panel(&row_major, nc, 0, 0, kc, nc, &mut packed);
-                let segs: Vec<Vec<f64>> = (0..4).map(|r| vec_of(kc, 50 + r as u64)).collect();
-                let mut got: Vec<Vec<f64>> = (0..4).map(|r| vec_of(nc, 60 + r as u64)).collect();
+                let segs: Vec<Vec<f64>> = (0..4).map(|r| vec_of(kc, 10 + r as u64)).collect();
+                let mut got: Vec<Vec<f64>> = (0..4).map(|r| vec_of(nc, 20 + r as u64)).collect();
                 let mut want = got.clone();
+                for (seg, row) in segs.iter().zip(&mut want) {
+                    for (l, &al) in seg.iter().enumerate() {
+                        for (o, &b) in row.iter_mut().zip(&row_major[l * nc..(l + 1) * nc]) {
+                            *o += al * b;
+                        }
+                    }
+                }
                 {
                     let [g0, g1, g2, g3] = &mut got[..] else { unreachable!() };
-                    gemm_tile4_packed(
+                    gemm_tile_packed(
                         [&segs[0], &segs[1], &segs[2], &segs[3]],
                         &packed,
                         nc,
-                        g0,
-                        g1,
-                        g2,
-                        g3,
+                        [g0, g1, g2, g3],
                     );
                 }
-                {
-                    let [w0, w1, w2, w3] = &mut want[..] else { unreachable!() };
-                    gemm_tile4(
-                        [&segs[0], &segs[1], &segs[2], &segs[3]],
-                        &row_major,
-                        nc,
-                        w0,
-                        w1,
-                        w2,
-                        w3,
-                    );
-                }
-                for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "tile4_packed nc={nc} kc={kc}");
-                }
-                let mut one = vec_of(nc, 70);
-                let mut one_scalar = one.clone();
-                let mut one_row_major = one.clone();
-                gemm_tile1_packed(&segs[0], &packed, nc, &mut one);
-                gemm_tile1_packed_scalar(&segs[0], &packed, nc, &mut one_scalar);
-                gemm_tile1(&segs[0], &row_major, nc, &mut one_row_major);
-                for ((g, s), w) in one.iter().zip(&one_scalar).zip(&one_row_major) {
-                    assert_eq!(g.to_bits(), s.to_bits(), "tile1_packed scalar nc={nc} kc={kc}");
-                    assert_eq!(g.to_bits(), w.to_bits(), "tile1_packed row-major nc={nc} kc={kc}");
-                }
+                assert_eq!(bits(&got.concat()), bits(&want.concat()), "tile4 nc={nc} kc={kc}");
+                let mut one = vec_of(nc, 20);
+                gemm_tile_packed([&segs[0]], &packed, nc, [&mut one]);
+                assert_eq!(bits(&one), bits(&want[0]), "tile1 nc={nc} kc={kc}");
             }
         }
     }
 
+    /// Packing a sub-panel out of a larger row-major matrix (nonzero row and
+    /// column offsets, leading dimension wider than the panel) and running
+    /// the packed tiles gives the bits of the naive ikj loop that reads the
+    /// row-major matrix in place.
     #[test]
-    fn force_scalar_pins_the_twin() {
-        let x = vec_of(33, 5);
-        let y = vec_of(33, 6);
-        let before = dot(&x, &y);
-        set_force_scalar(true);
-        assert!(!simd_active());
-        let pinned = dot(&x, &y);
-        set_force_scalar(false);
-        assert_eq!(before.to_bits(), pinned.to_bits(), "paths must agree bitwise");
+    fn packed_kernels_match_row_major_kernels_bitwise() {
+        let (rows, ld, k0, j0) = (40usize, 37usize, 3usize, 5usize);
+        let b = vec_of(rows * ld, 40);
+        for nc in [1usize, 8, 13, 29] {
+            for kc in [1usize, 7, 32] {
+                let mut packed = vec![0.0; kc * nc];
+                pack_panel(&b, ld, k0, j0, kc, nc, &mut packed);
+                let segs: Vec<Vec<f64>> = (0..4).map(|r| vec_of(kc, 50 + r as u64)).collect();
+                let mut got: Vec<Vec<f64>> = (0..4).map(|r| vec_of(nc, 60 + r as u64)).collect();
+                let mut want = got.clone();
+                for (seg, row) in segs.iter().zip(&mut want) {
+                    for (j, o) in row.iter_mut().enumerate() {
+                        for (l, &al) in seg.iter().enumerate() {
+                            *o += al * b[(k0 + l) * ld + j0 + j];
+                        }
+                    }
+                }
+                let [g0, g1, g2, g3] = &mut got[..] else { unreachable!() };
+                gemm_tile_packed(
+                    [&segs[0], &segs[1], &segs[2], &segs[3]],
+                    &packed,
+                    nc,
+                    [g0, g1, g2, g3],
+                );
+                assert_eq!(bits(&got.concat()), bits(&want.concat()), "nc={nc} kc={kc}");
+            }
+        }
+    }
+
+    // The shape checks are `assert!`s, so they hold in release builds: past
+    // them, each of these calls would read or write beyond a slice's end or
+    // silently drop the excess.
+
+    #[test]
+    #[should_panic(expected = "dot: length mismatch")]
+    fn dot_rejects_a_short_operand() {
+        let backing = [1000.0; 16];
+        dot(&[1.0; 16], &backing[..8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dist2_sq: length mismatch")]
+    fn dist2_sq_rejects_a_short_operand() {
+        let backing = [1000.0; 16];
+        dist2_sq(&[1.0; 16], &backing[..8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dist2_sq_both: length mismatch")]
+    fn dist2_sq_both_rejects_a_short_operand() {
+        let backing = [1000.0; 16];
+        dist2_sq_both(&[1.0; 16], &backing[..8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "axpy: length mismatch")]
+    fn axpy_rejects_a_short_output() {
+        let mut backing = [0.0; 16];
+        axpy(1.0, &[1.0; 16], &mut backing[..8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pack_panel: destination too small")]
+    fn pack_panel_rejects_a_short_destination() {
+        let mut dst = [0.0; 15];
+        pack_panel(&[1.0; 16], 8, 0, 0, 2, 8, &mut dst);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_tile_packed: ragged lhs segments")]
+    fn gemm_tile_rejects_ragged_segments() {
+        let (mut o0, mut o1, mut o2, mut o3) = ([0.0; 8], [0.0; 8], [0.0; 8], [0.0; 8]);
+        gemm_tile_packed(
+            [&[1.0; 2], &[1.0; 2], &[1.0; 1], &[1.0; 2]],
+            &[1.0; 16],
+            8,
+            [&mut o0, &mut o1, &mut o2, &mut o3],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_tile_packed: panel too small")]
+    fn gemm_tile_rejects_a_short_panel() {
+        let mut out = [0.0; 8];
+        gemm_tile_packed([&[1.0; 2]], &[1.0; 15], 8, [&mut out]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_tile_packed: output length mismatch")]
+    fn gemm_tile_rejects_a_short_output() {
+        let mut backing = [0.0; 16];
+        gemm_tile_packed([&[1.0; 2]], &[1.0; 32], 16, [&mut backing[..8]]);
     }
 }

@@ -2,51 +2,17 @@
 //!
 //! These are deliberately plain free functions over `&[f64]` so they can be
 //! used on matrix rows, embedding vectors, and Lanczos basis vectors alike
-//! without wrapping them in a vector type. The heavy lifting lives in
-//! [`crate::simd`]: every function here validates shapes and forwards to the
-//! runtime-dispatched kernel, whose AVX2 and scalar paths are bitwise
-//! identical. The reductions ([`dot`], [`sum`], [`dist2_sq`],
-//! [`dist2_sq_both`]) use the fixed 8-stripe lane-group summation order
-//! documented in [`crate::simd`] — a pure function of the input, independent
-//! of both thread count and instruction set.
+//! without wrapping them in a vector type. The kernels themselves live in
+//! [`crate::simd`] and are re-exported here; the reductions ([`dot`],
+//! [`sum`], [`dist2_sq`], [`dist2_sq_both`]) use the fixed 8-stripe
+//! lane-group summation order documented there — a pure function of the
+//! input, independent of both thread count and instruction set.
 
-use crate::simd;
-
-/// Dot product `x · y` in the lane-group reduction order.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot: length mismatch ({} vs {})", x.len(), y.len());
-    simd::dot(x, y)
-}
+pub use crate::simd::{axpy, dist2_sq, dist2_sq_both, dot, scale, sum};
 
 /// Euclidean norm `‖x‖₂`.
 pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
-}
-
-/// Squared Euclidean distance `‖x − y‖₂²` in the lane-group reduction order.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn dist2_sq(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dist2_sq: length mismatch");
-    simd::dist2_sq(x, y)
-}
-
-/// In-place `y ← y + alpha * x`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    simd::axpy(alpha, x, y);
-}
-
-/// In-place scaling `x ← alpha * x`.
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    simd::scale(alpha, x);
 }
 
 /// Normalizes `x` to unit Euclidean norm and returns the original norm.
@@ -60,78 +26,6 @@ pub fn normalize(x: &mut [f64]) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Both squared distances `(‖x − y‖₂², ‖x + y‖₂²)` in one pass.
-///
-/// Each sum accumulates in the lane-group order exactly like two separate
-/// [`dist2_sq`] calls (the second on a sign-flipped `y`), so callers that
-/// previously materialized `-y` can drop the copy without changing a bit.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn dist2_sq_both(x: &[f64], y: &[f64]) -> (f64, f64) {
-    assert_eq!(x.len(), y.len(), "dist2_sq_both: length mismatch");
-    simd::dist2_sq_both(x, y)
-}
-
-/// GEMM microkernel over one packed panel: `out[j] += Σ_l a[l] * panel[l*nc + j]`.
-///
-/// `panel` holds `a.len()` rows of `nc` contiguous values (a packed slice of
-/// the right-hand side). Every output element accumulates its contributions
-/// in ascending-`l` order with a single running accumulator — bit-identical
-/// to the naive ikj loop — while the AVX2 path vectorizes across `j` and
-/// keeps the accumulators in registers for the whole shared-dimension loop.
-///
-/// # Panics
-/// Panics (in debug builds) on inconsistent panel/output lengths.
-pub fn gemm_microkernel(a: &[f64], panel: &[f64], nc: usize, out: &mut [f64]) {
-    debug_assert_eq!(panel.len(), a.len() * nc, "gemm_microkernel: panel length mismatch");
-    debug_assert_eq!(out.len(), nc, "gemm_microkernel: output length mismatch");
-    simd::gemm_tile1(a, panel, nc, out);
-}
-
-/// Four-row GEMM microkernel over one packed panel.
-///
-/// `quad` is four contiguous output rows of length `row_len`; the kernel
-/// updates the `nc`-wide window starting at column `jt` of each:
-/// `quad[r][jt + j] += Σ_l a[r][l] * panel[l*nc + j]`. Processing four rows
-/// per panel pass loads each packed right-hand-side row once for four
-/// output rows, and the AVX2 path holds the full 4×8 output tile in
-/// registers across the shared-dimension loop. Every output element still
-/// accumulates its terms in ascending-`l` order with a single accumulator —
-/// row blocking only interleaves updates to *different* elements — so the
-/// result is bit-identical to the naive ikj loop.
-///
-/// # Panics
-/// Panics (in debug builds) on inconsistent segment/panel/quad lengths.
-pub fn gemm_microkernel4(
-    a: [&[f64]; 4],
-    panel: &[f64],
-    nc: usize,
-    quad: &mut [f64],
-    row_len: usize,
-    jt: usize,
-) {
-    debug_assert_eq!(quad.len(), 4 * row_len, "gemm_microkernel4: quad length mismatch");
-    debug_assert!(jt + nc <= row_len, "gemm_microkernel4: window out of range");
-    let (q0, rest) = quad.split_at_mut(row_len);
-    let (q1, rest) = rest.split_at_mut(row_len);
-    let (q2, q3) = rest.split_at_mut(row_len);
-    simd::gemm_tile4(
-        a,
-        panel,
-        nc,
-        &mut q0[jt..jt + nc],
-        &mut q1[jt..jt + nc],
-        &mut q2[jt..jt + nc],
-        &mut q3[jt..jt + nc],
-    );
-}
-
-/// Sum of all entries in the lane-group reduction order.
-pub fn sum(x: &[f64]) -> f64 {
-    simd::sum(x)
 }
 
 /// Index of the maximum entry (first occurrence); `None` for empty input or
@@ -170,8 +64,8 @@ mod tests {
         // 19 entries exercises both the 8-wide stripes and the tail.
         let x: Vec<f64> = (0..19).map(|i| (i as f64 * 0.31).sin()).collect();
         let y: Vec<f64> = (0..19).map(|i| (i as f64 * 0.17).cos()).collect();
-        assert_eq!(dot(&x, &y).to_bits(), crate::simd::dot_scalar(&x, &y).to_bits());
-        assert_eq!(sum(&x).to_bits(), crate::simd::sum_scalar(&x).to_bits());
+        assert_eq!(dot(&x, &y).to_bits(), crate::simd::portable::dot(&x, &y).to_bits());
+        assert_eq!(sum(&x).to_bits(), crate::simd::portable::sum(&x).to_bits());
     }
 
     #[test]
@@ -219,60 +113,6 @@ mod tests {
         let (minus, plus) = dist2_sq_both(&x, &y);
         assert_eq!(minus.to_bits(), dist2_sq(&x, &y).to_bits());
         assert_eq!(plus.to_bits(), dist2_sq(&x, &y_neg).to_bits());
-    }
-
-    #[test]
-    fn gemm_microkernel_matches_naive_accumulation_bitwise() {
-        // 7 shared-dim entries exercises both the vector body and the
-        // scalar tail; nc = 3 columns.
-        let a = [0.5, -1.25, 2.0, 0.125, -0.75, 3.5, 1.0 / 3.0];
-        let (kc, nc) = (a.len(), 3);
-        let panel: Vec<f64> = (0..kc * nc).map(|t| ((t * 7 % 13) as f64 - 6.0) / 3.0).collect();
-        let mut out = vec![0.1, -0.2, 0.3];
-        let mut naive = out.clone();
-        for l in 0..kc {
-            for j in 0..nc {
-                naive[j] += a[l] * panel[l * nc + j];
-            }
-        }
-        gemm_microkernel(&a, &panel, nc, &mut out);
-        for (o, n) in out.iter().zip(&naive) {
-            assert_eq!(o.to_bits(), n.to_bits());
-        }
-    }
-
-    #[test]
-    fn gemm_microkernel_empty_shared_dim_is_noop() {
-        let mut out = vec![1.0, 2.0];
-        gemm_microkernel(&[], &[], 2, &mut out);
-        assert_eq!(out, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn gemm_microkernel4_matches_single_row_kernel_bitwise() {
-        // Shared dim 5, window width 11 (vector body + tail), starting
-        // mid-row to exercise the jt offset.
-        let (kc, nc, row_len, jt) = (5, 11, 15, 2);
-        let segs: Vec<Vec<f64>> =
-            (0..4).map(|r| (0..kc).map(|l| ((r * kc + l) as f64 * 0.37).sin()).collect()).collect();
-        let panel: Vec<f64> = (0..kc * nc).map(|t| ((t * 7 % 13) as f64 - 6.0) / 3.0).collect();
-        let mut quad: Vec<f64> = (0..4 * row_len).map(|t| (t as f64 * 0.11).cos()).collect();
-        let mut expect = quad.clone();
-        for r in 0..4 {
-            let row = &mut expect[r * row_len..(r + 1) * row_len];
-            gemm_microkernel(&segs[r], &panel, nc, &mut row[jt..jt + nc]);
-        }
-        gemm_microkernel4(
-            [&segs[0], &segs[1], &segs[2], &segs[3]],
-            &panel,
-            nc,
-            &mut quad,
-            row_len,
-            jt,
-        );
-        for (got, want) in quad.iter().zip(&expect) {
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
     }
 
     #[test]

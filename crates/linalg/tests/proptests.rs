@@ -297,50 +297,65 @@ fn paired_slices() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     })
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `out[r] += a[r] · panel` by the naive ikj loop over a row-major
+/// `a[r].len() × nc` panel: the per-element order the GEMM tile must keep.
+fn tile_reference(a: &[&[f64]], panel: &[f64], nc: usize, out: &mut [Vec<f64>]) {
+    for (seg, row) in a.iter().zip(out) {
+        for (l, &al) in seg.iter().enumerate() {
+            for (o, &b) in row.iter_mut().zip(&panel[l * nc..(l + 1) * nc]) {
+                *o += al * b;
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The runtime-dispatched vector kernels (AVX2 on hosts that have it)
-    /// are bitwise-equal to their scalar lane-group twins at every
-    /// remainder width — the dispatch decision can never change a bit.
+    /// The vector kernels are bitwise-equal to their scalar references at
+    /// every remainder width: the reductions to the portable lane-group
+    /// versions (the AVX2 build runs intrinsics, so this is where the two
+    /// paths meet), `axpy` and `scale` to the plain per-element loop.
     #[test]
     fn simd_vector_kernels_match_scalar_twins_bitwise((x, y) in paired_slices(), alpha in -2.0f64..2.0) {
-        use graphalign_linalg::simd;
-        prop_assert_eq!(simd::dot(&x, &y).to_bits(), simd::dot_scalar(&x, &y).to_bits());
-        prop_assert_eq!(simd::sum(&x).to_bits(), simd::sum_scalar(&x).to_bits());
+        use graphalign_linalg::simd::{self, portable};
+        prop_assert_eq!(simd::dot(&x, &y).to_bits(), portable::dot(&x, &y).to_bits());
+        prop_assert_eq!(simd::sum(&x).to_bits(), portable::sum(&x).to_bits());
         prop_assert_eq!(
             simd::dist2_sq(&x, &y).to_bits(),
-            simd::dist2_sq_scalar(&x, &y).to_bits()
+            portable::dist2_sq(&x, &y).to_bits()
         );
         let (m, p) = simd::dist2_sq_both(&x, &y);
-        let (ms, ps) = simd::dist2_sq_both_scalar(&x, &y);
+        let (ms, ps) = portable::dist2_sq_both(&x, &y);
         prop_assert_eq!(m.to_bits(), ms.to_bits());
         prop_assert_eq!(p.to_bits(), ps.to_bits());
         let mut ya = y.clone();
-        let mut yb = y.clone();
+        let mut yb = y;
         simd::axpy(alpha, &x, &mut ya);
-        simd::axpy_scalar(alpha, &x, &mut yb);
-        prop_assert_eq!(
-            ya.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            yb.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        for (yi, xi) in yb.iter_mut().zip(&x) {
+            *yi += alpha * xi;
+        }
+        prop_assert_eq!(bits(&ya), bits(&yb));
         let mut xa = x.clone();
         let mut xb = x;
         simd::scale(alpha, &mut xa);
-        simd::scale_scalar(alpha, &mut xb);
-        prop_assert_eq!(
-            xa.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            xb.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        for xi in xb.iter_mut() {
+            *xi *= alpha;
+        }
+        prop_assert_eq!(bits(&xa), bits(&xb));
     }
 
-    /// The GEMM microkernels (row-major and packed-panel, 1-row and 4-row)
-    /// are bitwise-equal to their scalar twins at every panel width
-    /// remainder, empty shared dimension included.
+    /// The packed GEMM tile, 1-row and 4-row, is bitwise-equal to the naive
+    /// ikj loop over the row-major panel it was packed from, at every panel
+    /// width remainder, empty shared dimension and empty output included.
     #[test]
     fn simd_gemm_tiles_match_scalar_twins_bitwise(
         kc in 0usize..12,
-        nc in 1usize..28,
+        nc in 0usize..28,
         seed in 0u64..1000,
     ) {
         use graphalign_linalg::simd;
@@ -351,65 +366,22 @@ proptest! {
         };
         let panel = gen(1, kc * nc);
         let a: Vec<Vec<f64>> = (0..4).map(|r| gen(2 + r, kc)).collect();
-        let init = gen(7, nc);
-
-        let (mut o_simd, mut o_scal) = (init.clone(), init.clone());
-        simd::gemm_tile1(&a[0], &panel, nc, &mut o_simd);
-        simd::gemm_tile1_scalar(&a[0], &panel, nc, &mut o_scal);
-        prop_assert_eq!(
-            o_simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            o_scal.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-
-        let bits4 = |rows: &[Vec<f64>]| -> Vec<u64> {
-            rows.iter().flat_map(|r| r.iter().map(|v| v.to_bits())).collect()
-        };
         let quad = [&a[0][..], &a[1][..], &a[2][..], &a[3][..]];
-        let mut q_simd: Vec<Vec<f64>> = (0..4).map(|r| gen(11 + r, nc)).collect();
-        let mut q_scal = q_simd.clone();
-        {
-            let [o0, o1, o2, o3] = &mut q_simd[..] else { unreachable!() };
-            simd::gemm_tile4(quad, &panel, nc, o0, o1, o2, o3);
-        }
-        {
-            let [o0, o1, o2, o3] = &mut q_scal[..] else { unreachable!() };
-            simd::gemm_tile4_scalar(quad, &panel, nc, o0, o1, o2, o3);
-        }
-        prop_assert_eq!(bits4(&q_simd), bits4(&q_scal));
-
-        // Packed-panel variants read the micro-strip layout produced by
-        // pack_panel from a row-major source with leading dimension nc.
         let mut packed = vec![0.0; kc * nc];
         simd::pack_panel(&panel, nc, 0, 0, kc, nc, &mut packed);
-        let (mut p_simd, mut p_scal) = (init.clone(), init);
-        simd::gemm_tile1_packed(&a[0], &packed, nc, &mut p_simd);
-        simd::gemm_tile1_packed_scalar(&a[0], &packed, nc, &mut p_scal);
-        prop_assert_eq!(
-            p_simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            p_scal.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        prop_assert_eq!(
-            p_simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            o_simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "packed layout changed the numerics"
-        );
 
-        let mut pq_simd: Vec<Vec<f64>> = (0..4).map(|r| gen(11 + r, nc)).collect();
-        let mut pq_scal = pq_simd.clone();
+        let mut want: Vec<Vec<f64>> = (0..4).map(|r| gen(11 + r, nc)).collect();
+        let mut got = want.clone();
+        tile_reference(&quad, &panel, nc, &mut want);
         {
-            let [o0, o1, o2, o3] = &mut pq_simd[..] else { unreachable!() };
-            simd::gemm_tile4_packed(quad, &packed, nc, o0, o1, o2, o3);
+            let [o0, o1, o2, o3] = &mut got[..] else { unreachable!() };
+            simd::gemm_tile_packed(quad, &packed, nc, [o0, o1, o2, o3]);
         }
-        {
-            let [o0, o1, o2, o3] = &mut pq_scal[..] else { unreachable!() };
-            simd::gemm_tile4_packed_scalar(quad, &packed, nc, o0, o1, o2, o3);
-        }
-        prop_assert_eq!(bits4(&pq_simd), bits4(&pq_scal));
-        prop_assert_eq!(
-            bits4(&pq_simd),
-            bits4(&q_simd),
-            "packed layout changed the 4-row tile numerics"
-        );
+        prop_assert_eq!(bits(&got.concat()), bits(&want.concat()));
+
+        let mut one = gen(11, nc);
+        simd::gemm_tile_packed([quad[0]], &packed, nc, [&mut one]);
+        prop_assert_eq!(bits(&one), bits(&want[0]));
     }
 
     /// The form-selecting right-SpMM is bitwise-identical to the plain
@@ -423,35 +395,82 @@ proptest! {
     }
 }
 
-/// The remainder widths the dispatch paths split on, pinned: every
-/// `n mod 8` class around one and two full lane groups, the empty slice,
-/// and length 1.
+/// The remainder widths the 8-lane reductions and the 8-wide tile strips
+/// split on, pinned: every `n mod 8` class around one and two full lane
+/// groups, the empty slice, and length 1.
 #[test]
 fn simd_kernels_pinned_remainder_widths() {
-    use graphalign_linalg::simd;
+    use graphalign_linalg::simd::{self, portable};
     for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33] {
         let x: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) as f64).sin()).collect();
         let y: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) as f64).cos()).collect();
-        assert_eq!(simd::dot(&x, &y).to_bits(), simd::dot_scalar(&x, &y).to_bits(), "dot n={n}");
-        assert_eq!(simd::sum(&x).to_bits(), simd::sum_scalar(&x).to_bits(), "sum n={n}");
+        assert_eq!(simd::dot(&x, &y).to_bits(), portable::dot(&x, &y).to_bits(), "dot n={n}");
+        assert_eq!(simd::sum(&x).to_bits(), portable::sum(&x).to_bits(), "sum n={n}");
         assert_eq!(
             simd::dist2_sq(&x, &y).to_bits(),
-            simd::dist2_sq_scalar(&x, &y).to_bits(),
+            portable::dist2_sq(&x, &y).to_bits(),
             "dist2_sq n={n}"
         );
         let mut ya = y.clone();
         let mut yb = y.clone();
         simd::axpy(0.37, &x, &mut ya);
-        simd::axpy_scalar(0.37, &x, &mut yb);
-        assert!(ya.iter().zip(&yb).all(|(a, b)| a.to_bits() == b.to_bits()), "axpy n={n}");
-        // 1×n GEMM tile: a single unit-length lhs row against an n-wide panel.
-        if n > 0 {
-            let a = [0.83_f64];
-            let mut o1 = vec![0.25; n];
-            let mut o2 = o1.clone();
-            simd::gemm_tile1(&a, &x, n, &mut o1);
-            simd::gemm_tile1_scalar(&a, &x, n, &mut o2);
-            assert!(o1.iter().zip(&o2).all(|(a, b)| a.to_bits() == b.to_bits()), "tile1 1x{n}");
+        for (yi, xi) in yb.iter_mut().zip(&x) {
+            *yi += 0.37 * xi;
         }
+        assert_eq!(bits(&ya), bits(&yb), "axpy n={n}");
+        // 1×n GEMM tile: a single unit-length lhs row against an n-wide panel.
+        let a = [0.83_f64];
+        let mut packed = vec![0.0; n];
+        simd::pack_panel(&x, n, 0, 0, 1, n, &mut packed);
+        let mut want = vec![vec![0.25; n]];
+        let mut got = want[0].clone();
+        tile_reference(&[&a], &x, n, &mut want);
+        simd::gemm_tile_packed([&a], &packed, n, [&mut got]);
+        assert_eq!(bits(&got), bits(&want[0]), "tile1 1x{n}");
+    }
+}
+
+/// The reductions' results pinned as bit patterns, so that the AVX2 build
+/// and the portable build (`RUSTFLAGS="-C target-cpu=x86-64"`) must agree
+/// with each other, and with the values both gave before, on every
+/// remainder class. The inputs are exact rationals, independent of any
+/// math library. Columns: `n`, `dot(x, y)`, `sum(x)`, `dist2_sq(x, y)`,
+/// `‖x + y‖²`; `dist2_sq_both` must return columns 4 and 5.
+#[test]
+fn reduction_bits_are_pinned_across_builds() {
+    use graphalign_linalg::simd;
+    const PINNED: [(usize, u64, u64, u64, u64); 21] = [
+        (0, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000),
+        (1, 0x401691cba8e96a14, 0xbfffcf0b38187a64, 0x3fe72025b34a9f49, 0x40374accd683bf0f),
+        (2, 0x40112ffec613a7d4, 0xbfee371360e47650, 0x4018a8c834721390, 0x40375a30d3302cb9),
+        (3, 0x401148670d9fde3b, 0xbfeb486a125bcaf7, 0x4018c5d97c367e0c, 0x403779dd6cad7dbf),
+        (4, 0x40061c2524405aee, 0xbffb690d424b795f, 0x402aa4645ea03d3d, 0x40386044c1704c17),
+        (5, 0x401c7dab17d5e1f2, 0xc00c35092de57b69, 0x402b57c10869bfe1, 0x404514c5ce0560f2),
+        (6, 0x401851b01db699e2, 0xc00274455ac5dd52, 0x4031f9b5361507a8, 0x404525b2a9e5d0c6),
+        (7, 0x40190f4979bc6d05, 0xc0005197f7d73404, 0x40322852101f5da1, 0x40459bcdc4ede554),
+        (8, 0x4012e9853e797b8a, 0xc005cd0105197f7e, 0x403abb1b1e365ba5, 0x4046d2502e57eb96),
+        (9, 0x401fd28ebada0cfe, 0xc011734041465fe0, 0x403ad79aa737e813, 0x404d5514b108fa87),
+        (10, 0x401d7809c34fd1b2, 0xc007beb9a020a331, 0x403e24373848665e, 0x404dce207dcc1c06),
+        (11, 0x401f76784dadd423, 0xc00435092de57b6a, 0x403e9c50a73e5676, 0x404f09647a76154b),
+        (12, 0x401a00e86c86347e, 0xc008496f2bdb486b, 0x404461a57ffe1912, 0x4050b10cdb2099a8),
+        (13, 0x40217f837cb81abf, 0xc011fdf5cd01051a, 0x4044625fe4f67439, 0x4052f0f1b0d7477c),
+        (14, 0x402188ce0f2cccc4, 0xc0076d21a8496f2d, 0x4045992423800e0a, 0x405390f919566d67),
+        (15, 0x40237641f8772eed, 0xc0027c6e26c1c8ee, 0x40460b012bda0288, 0x4054c0a1922898ba),
+        (16, 0x40253cdef7b178d7, 0xc00529d1156b1775, 0x4048bb125f81cdf4, 0x4056fbf8ab99a366),
+        (17, 0x4028144ad35a7a67, 0xc00f754a74455ac6, 0x4048bf596b5aed6d, 0x405869d21f5ab3eb),
+        (31, 0x402bbc2a9cd4f807, 0xc0034041465fdf62, 0x405ab46447840490, 0x4064493ccaf7404a),
+        (33, 0x402a52c2cc83c0a3, 0xc0050105197f7d75, 0x405b7cc28d282197, 0x40645311f9b500f3),
+        (64, 0x4031201e5fa2fe22, 0xc008391d93e37138, 0x406d2e8be33c2775, 0x4072df4d8986d344),
+    ];
+    for (n, dot, sum, minus, plus) in PINNED {
+        let x: Vec<f64> =
+            (0..n).map(|i| (((i as u64 * 2654435761 + 1) % 1000) as f64 - 500.0) / 251.0).collect();
+        let y: Vec<f64> =
+            (0..n).map(|i| (((i as u64 * 2246822519 + 7) % 997) as f64 - 498.0) / 173.0).collect();
+        assert_eq!(simd::dot(&x, &y).to_bits(), dot, "dot n={n}");
+        assert_eq!(simd::sum(&x).to_bits(), sum, "sum n={n}");
+        assert_eq!(simd::dist2_sq(&x, &y).to_bits(), minus, "dist2_sq n={n}");
+        let (m, p) = simd::dist2_sq_both(&x, &y);
+        assert_eq!((m.to_bits(), p.to_bits()), (minus, plus), "dist2_sq_both n={n}");
     }
 }

@@ -16,8 +16,9 @@
 use graphalign_bench::figures::{SweepRow, SweepSession};
 use graphalign_bench::journal::Journal;
 use graphalign_bench::suite::Algo;
-use graphalign_bench::{fault, Config};
+use graphalign_bench::Config;
 use graphalign_noise::NoiseModel;
+use graphalign_par::fault;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 

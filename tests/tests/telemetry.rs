@@ -72,7 +72,7 @@ const TRACE_KEYS: [&str; 12] = [
 #[test]
 fn trace_jsonl_matches_golden_schema() {
     let _guard = serial();
-    graphalign_bench::fault::set_for_test(None);
+    graphalign_par::fault::set_for_test(None);
     let dir = temp_dir("schema");
     let trace_path = dir.join("sweep.trace.jsonl");
 
@@ -138,7 +138,7 @@ fn trace_jsonl_matches_golden_schema() {
 #[test]
 fn forced_truncation_reports_nonconvergence_with_measures() {
     let _guard = serial();
-    graphalign_bench::fault::set_for_test(None);
+    graphalign_par::fault::set_for_test(None);
     let _restore = CapGuard;
     set_forced_max_iter(Some(2));
 
@@ -211,7 +211,7 @@ fn forced_truncation_reports_nonconvergence_with_measures() {
 #[test]
 fn telemetry_is_thread_count_invariant() {
     let _guard = serial();
-    graphalign_bench::fault::set_for_test(None);
+    graphalign_par::fault::set_for_test(None);
     let base = small_graph();
     let noise = NoiseConfig::new(NoiseModel::OneWay, 0.02);
     let mut policy = RunPolicy::new(3, 7, true);
@@ -269,7 +269,7 @@ fn telemetry_is_thread_count_invariant() {
 #[test]
 fn untraced_policy_still_aggregates_telemetry() {
     let _guard = serial();
-    graphalign_bench::fault::set_for_test(None);
+    graphalign_par::fault::set_for_test(None);
     let base = small_graph();
     let noise = NoiseConfig::new(NoiseModel::OneWay, 0.0);
     let policy = RunPolicy::new(1, 7, true);
