@@ -9,9 +9,12 @@
 //! compare_results baseline/fig2_er.json results/fig2_er.json [--tol 0.05]
 //! ```
 //!
-//! Exit code 0 when every shared cell moved less than the tolerance,
-//! 1 otherwise. Timing differences never fail the check — only quality
-//! regressions do.
+//! Exit code 0 when every baseline cell is present in the candidate and
+//! moved by at most the tolerance; 1 when a cell moved more, when a baseline
+//! cell is missing from the candidate (a cell that stops being produced
+//! cannot hide a regression), or when no cell is comparable; 2 on usage or
+//! input errors. Timing differences never fail the check — only quality
+//! regressions and lost cells do.
 
 use graphalign_json::Json;
 use std::collections::BTreeMap;
@@ -117,6 +120,7 @@ fn main() {
     let baseline = load(&args[0]);
     let candidate = load(&args[1]);
     let mut regressions = 0usize;
+    let mut missing = 0usize;
     let mut compared = 0usize;
     let mut base_clock = 0.0;
     let mut cand_clock = 0.0;
@@ -126,6 +130,7 @@ fn main() {
     for (key, base) in &baseline {
         let Some(cand) = candidate.get(key) else {
             println!("MISSING  {key} (baseline {:.3})", base.accuracy);
+            missing += 1;
             continue;
         };
         compared += 1;
@@ -149,7 +154,10 @@ fn main() {
         base_threads = base_threads.or(base.threads);
         cand_threads = cand_threads.or(cand.threads);
     }
-    println!("compared {compared} cells, {regressions} moved more than {tol}");
+    println!(
+        "compared {compared} cells, {regressions} moved more than {tol}, {missing} baseline \
+         cells missing"
+    );
     // Non-convergence summary: cells whose telemetry reports at least one
     // truncated/interrupted solver run. Informational only — the solvers may
     // still produce acceptable alignments (IsoRank's truncated similarity
@@ -182,5 +190,5 @@ fn main() {
             base_clock / cand_clock,
         );
     }
-    std::process::exit(if regressions > 0 { 1 } else { 0 });
+    std::process::exit(if regressions + missing > 0 { 1 } else { 0 });
 }

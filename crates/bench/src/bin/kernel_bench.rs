@@ -6,8 +6,9 @@
 //! pre-optimization formulation (plain ikj GEMM with the zero-skip branch,
 //! transpose-per-iteration SpMM), so the emitted numbers are honest
 //! before/after pairs on the same machine. The `eigen` group (dense
-//! eigensolver, Lanczos, thin SVD) has no naive twin: its rows are roofline
-//! entries that the GRASP and CONE similarity layers point back to.
+//! eigensolver, Lanczos, thin SVD) is mostly roofline entries that the
+//! GRASP and CONE similarity layers point back to; its one pair is GRASP's
+//! per-step projection, `polar` against the SVD route it replaced.
 //!
 //! ```text
 //! kernel_bench [--quick] [--threads N] [--seed S] [--out PATH]
@@ -42,7 +43,7 @@ use graphalign_json::Json;
 use graphalign_linalg::eigen::symmetric_eigen;
 use graphalign_linalg::lanczos::{lanczos, Which};
 use graphalign_linalg::sinkhorn::{sinkhorn, uniform_marginal, SinkhornParams};
-use graphalign_linalg::svd::thin_svd;
+use graphalign_linalg::svd::{polar, thin_svd};
 use graphalign_linalg::{vec_ops, CsrMatrix, DenseMatrix, Workspace};
 use rand::prelude::*;
 use std::hint::black_box;
@@ -52,10 +53,11 @@ use std::time::Instant;
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
 /// Naive/optimized kernel pairs whose speedup ratio `--compare` tracks.
-const RATIO_PAIRS: [(&str, &str); 3] = [
+const RATIO_PAIRS: [(&str, &str); 4] = [
     ("gemm_naive", "gemm_blocked"),
     ("spmm_right_naive", "spmm_right_fused"),
     ("isorank_loop_naive", "isorank_loop_fused"),
+    ("polar_svd", "polar"),
 ];
 
 /// Maximum tolerated relative drop of a speedup ratio vs the baseline.
@@ -189,20 +191,42 @@ impl Row {
 /// scheduler noise (the `--compare` gate needs reproducible ratios), slow
 /// kernels keep the configured floor.
 fn time_median<F: FnMut()>(base_reps: usize, mut f: F) -> (u64, usize) {
+    let warm = elapsed_ns(&mut f).max(1);
+    let reps = base_reps.max(((TARGET_TOTAL_NS / warm) as usize).min(25));
+    (median((0..reps).map(|_| elapsed_ns(&mut f)).collect()), reps)
+}
+
+/// Sample time [`time_median`] aims a kernel's repeats at.
+const TARGET_TOTAL_NS: u64 = 250_000_000;
+
+/// [`time_median`] for a naive/optimized pair timed in alternation, so both
+/// medians come from the same stretch of host time. For a pair whose
+/// repeats last milliseconds, two back-to-back timing windows can see
+/// different host speeds and move the ratio by tens of percent.
+fn time_pair_median<F: FnMut(), G: FnMut()>(
+    base_reps: usize,
+    mut naive: F,
+    mut optimized: G,
+) -> ((u64, usize), (u64, usize)) {
+    let warm = (elapsed_ns(&mut naive) + elapsed_ns(&mut optimized)).max(1);
+    let reps = base_reps.max(((2 * TARGET_TOTAL_NS / warm) as usize).min(25));
+    let (mut a, mut b) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        a.push(elapsed_ns(&mut naive));
+        b.push(elapsed_ns(&mut optimized));
+    }
+    ((median(a), reps), (median(b), reps))
+}
+
+fn elapsed_ns(f: &mut impl FnMut()) -> u64 {
     let t0 = Instant::now();
     f();
-    let warm = (t0.elapsed().as_nanos() as u64).max(1);
-    const TARGET_TOTAL_NS: u64 = 250_000_000;
-    let reps = base_reps.max(((TARGET_TOTAL_NS / warm) as usize).min(25));
-    let mut samples: Vec<u64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos() as u64
-        })
-        .collect();
+    t0.elapsed().as_nanos() as u64
+}
+
+fn median(mut samples: Vec<u64>) -> u64 {
     samples.sort_unstable();
-    (samples[samples.len() / 2], reps)
+    samples[samples.len() / 2]
 }
 
 fn row(kernel: &str, size: String, threads: usize, work_units: f64, timing: (u64, usize)) -> Row {
@@ -404,10 +428,15 @@ fn bench_isorank_loop(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
 
 /// The dense factorizations GRASP, CONE, S-GWL, REGAL and LREA go
 /// through, at the shapes the similarity layers use: `symmetric_eigen` at
-/// GRASP's base-alignment size (40) and CONE's Procrustes size (256),
-/// Lanczos at CONE's fig11 shape (`k = n/2`, Krylov size `n`; a quarter of
-/// the work in quick mode), and the thin SVD of a rank-deficient matrix,
-/// whose null columns go through the orthonormal completion.
+/// GRASP's base-alignment size (40; since GRASP projects by Newton–Schulz,
+/// that is its one Procrustes start per similarity, not a per-step solve)
+/// and CONE's Procrustes size (256), Lanczos at CONE's fig11 shape
+/// (`k = n/2`, Krylov size `n`; a quarter of the work in quick mode), and
+/// the thin SVD of a rank-deficient matrix, whose null columns go through
+/// the orthonormal completion. GRASP's per-step projection is the pair
+/// `polar_svd` (the SVD route, `thin_svd` then `U·Vᵀ`) and `polar` (the
+/// production Newton–Schulz), 150 times per repeat on a 40 × 40 orthogonal
+/// matrix plus a step of Frobenius norm 0.05; the two must agree to 1e-12.
 fn bench_eigen(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
     for n in [40usize, 256] {
         let m = DenseMatrix::from_fn(n, n, |i, j| (((i * j) % 23) as f64 / 23.0 - 0.5) / n as f64);
@@ -433,6 +462,36 @@ fn bench_eigen(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
         black_box(thin_svd(black_box(&a)).unwrap());
     });
     rows.push(row("thin_svd", format!("{n}x{n}r{rank}"), t, (n as f64).powi(3), med));
+
+    // One GRASP base alignment's worth of projections per timed repeat: a
+    // single 40 × 40 projection takes tens of microseconds, too short for
+    // a median that holds its ratio under host noise.
+    let (k, steps) = (40, 150);
+    let raw = factor(k, k);
+    let mut x = graphalign_linalg::qr::thin_qr(&raw).q;
+    let step = factor(k, k);
+    x.add_scaled(0.05 / step.frobenius_norm(), &step);
+    let (mut ws_svd, mut ws_ns) = (Workspace::new(), Workspace::new());
+    let (mut by_svd, mut by_ns) = (DenseMatrix::zeros(k, k), DenseMatrix::zeros(k, k));
+    let (med_svd, med_ns) = time_pair_median(
+        cfg.reps(),
+        || {
+            for _ in 0..steps {
+                let svd = thin_svd(black_box(&x)).unwrap();
+                svd.u.matmul_tr_into(&svd.v, &mut by_svd, &mut ws_svd);
+            }
+        },
+        || {
+            for _ in 0..steps {
+                polar(black_box(&x), &mut by_ns, &mut ws_ns).unwrap();
+            }
+        },
+    );
+    let work = steps as f64 * (k as f64).powi(3);
+    rows.push(row("polar_svd", format!("{k}x{k}i{steps}"), t, work, med_svd));
+    rows.push(row("polar", format!("{k}x{k}i{steps}"), t, work, med_ns));
+    let gap = by_ns.sub(&by_svd).max_abs();
+    assert!(gap <= 1e-12, "polar diverged from the SVD polar factor by {gap:e}");
 }
 
 fn run_all(cfg: &Config) -> Vec<Row> {

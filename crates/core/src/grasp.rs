@@ -13,7 +13,9 @@
 //!    Equation 14: an off-diagonality penalty on `MᵀΛ₂M` plus the
 //!    corresponding-function mismatch `‖FᵀΦ − GᵀΨM‖²` (we optimize by
 //!    projected gradient on the orthogonal group, which also resolves
-//!    eigenvector sign/rotation ambiguity);
+//!    eigenvector sign/rotation ambiguity; each step is projected back by a
+//!    Newton–Schulz polar iteration, [`graphalign_linalg::svd::polar`],
+//!    since a step leaves `M` close to orthogonal);
 //! 4. estimate a diagonal mapping `C` of Fourier coefficients and match the
 //!    spectral node descriptors by a LAP — JV, as the GRASP authors chose.
 
@@ -21,7 +23,7 @@ use crate::{check_sizes, AlignError, Aligner};
 use graphalign_assignment::AssignmentMethod;
 use graphalign_graph::{spectral, Graph};
 use graphalign_linalg::lanczos::{lanczos, Which};
-use graphalign_linalg::svd::thin_svd;
+use graphalign_linalg::svd::{polar, procrustes};
 use graphalign_linalg::{
     DenseMatrix, LinearOp, LowRankKernel, LowRankSim, ShiftedOp, Similarity, Workspace,
 };
@@ -30,8 +32,8 @@ use graphalign_linalg::{
 /// `k = 20`, JV native assignment) — except `k`, which defaults to 40 here:
 /// the Lanczos-based spectral descriptors of this implementation need twice
 /// the paper's eigenpair count to reach the same node discriminativity
-/// (`k = 20` leaves descriptor collisions on graphs beyond ~300 nodes; the
-/// `ablation_grasp_k` bench and DESIGN.md §3 record the trade-off).
+/// (`k = 20` leaves descriptor collisions on larger graphs; the
+/// `ablation_grasp_k` bench and DESIGN.md §3 item 11 record the trade-off).
 #[derive(Debug, Clone)]
 pub struct Grasp {
     /// Number of eigenpairs `k`.
@@ -137,7 +139,6 @@ impl Grasp {
         lambda2: &[f64],
     ) -> Result<DenseMatrix, AlignError> {
         let k = a_coef.cols();
-        let l2 = DenseMatrix::from_fn(k, k, |i, j| if i == j { lambda2[i] } else { 0.0 });
         // Scale-normalize the coefficients once; the Procrustes solution is
         // scale-invariant, and this keeps the refinement gradients O(1).
         let sa = a_coef.frobenius_norm().max(1e-300);
@@ -145,83 +146,113 @@ impl Grasp {
         let sb = b_coef.frobenius_norm().max(1e-300);
         let b = b_coef.scaled(1.0 / sb);
 
-        // All per-iteration products land in workspace-pooled buffers; the
-        // arithmetic (and thus every objective value and iterate) is
-        // bit-identical to the allocating formulation it replaces.
-        let q_rows = a.rows();
-        let mut ws = Workspace::new();
-        let objective = |m: &DenseMatrix, ws: &mut Workspace| -> f64 {
-            let mut l2m = ws.take_matrix(k, k);
-            l2.matmul_into(m, &mut l2m, ws);
-            let mut d = ws.take_matrix(k, k);
-            m.tr_matmul_into(&l2m, &mut d, ws);
-            let mut off_sq = 0.0;
-            for i in 0..k {
-                for j in 0..k {
-                    if i != j {
-                        off_sq += d.get(i, j) * d.get(i, j);
-                    }
-                }
-            }
-            let mut bm = ws.take_matrix(q_rows, k);
-            b.matmul_into(m, &mut bm, ws);
-            let mut residual = ws.take_matrix(q_rows, k);
-            a.add_scaled_into(-1.0, &bm, &mut residual);
-            let fit = residual.frobenius_norm().powi(2);
-            ws.give_matrix(residual);
-            ws.give_matrix(bm);
-            ws.give_matrix(d);
-            ws.give_matrix(l2m);
-            off_sq + self.mu * fit
-        };
-
         // Two candidate starting points: the identity (the "no rotation"
         // prior favoured by the off-diagonality term) and the closed-form
         // fit optimum (Procrustes). Refine whichever scores better.
-        let procrustes_start = graphalign_linalg::svd::procrustes(&b, &a)?;
+        let mut ws = Workspace::new();
+        let mut objective = Objective::new(&a, &b, lambda2, self.mu);
+        let procrustes_start = procrustes(&b, &a)?;
         let identity = DenseMatrix::identity(k);
-        let mut m = if objective(&identity, &mut ws) <= objective(&procrustes_start, &mut ws) {
-            identity
-        } else {
-            procrustes_start
-        };
+        let mut m =
+            if objective.eval(&identity, &mut ws) <= objective.eval(&procrustes_start, &mut ws) {
+                identity
+            } else {
+                procrustes_start
+            };
+        // From here on `objective` holds the products of the current `m`.
+        let mut best_obj = objective.eval(&m, &mut ws);
         let mut best = m.clone();
-        let mut best_obj = objective(&m, &mut ws);
-        let mut l2m = DenseMatrix::zeros(k, k);
-        let mut d = DenseMatrix::zeros(k, k);
         let mut off = DenseMatrix::zeros(k, k);
         let mut grad = DenseMatrix::zeros(k, k);
-        let mut m_next = DenseMatrix::zeros(k, k);
-        let mut bm = DenseMatrix::zeros(q_rows, k);
-        let mut residual = DenseMatrix::zeros(q_rows, k);
         let mut btres = DenseMatrix::zeros(k, k);
+        let mut m_next = DenseMatrix::zeros(k, k);
         for _ in 0..self.base_align_iters {
             // Gradient of ½‖off(D)‖² with D = MᵀΛ₂M is 2·Λ₂·M·off(D);
             // gradient of μ‖A − BM‖² is −2μ·Bᵀ(A − BM).
-            l2.matmul_into(&m, &mut l2m, &mut ws);
-            m.tr_matmul_into(&l2m, &mut d, &mut ws);
-            off.copy_from(&d);
+            off.copy_from(&objective.d);
             for i in 0..k {
                 off.set(i, i, 0.0);
             }
-            l2m.matmul_into(&off, &mut grad, &mut ws);
+            objective.l2m.matmul_into(&off, &mut grad, &mut ws);
             grad.scale_inplace(2.0);
-            b.matmul_into(&m, &mut bm, &mut ws);
-            a.add_scaled_into(-1.0, &bm, &mut residual);
-            b.tr_matmul_into(&residual, &mut btres, &mut ws);
+            b.tr_matmul_into(&objective.residual, &mut btres, &mut ws);
             grad.add_scaled(-2.0 * self.mu, &btres);
             m.add_scaled(-self.lr, &grad);
-            // Project back to the orthogonal group: M ← U Vᵀ of M's SVD.
-            let svd = thin_svd(&m)?;
-            svd.u.matmul_tr_into(&svd.v, &mut m_next, &mut ws);
+            // Project back to the orthogonal group: M ← the polar factor
+            // U Vᵀ of M, by Newton–Schulz since a step leaves M close to
+            // orthogonal.
+            polar(&m, &mut m_next, &mut ws)?;
             std::mem::swap(&mut m, &mut m_next);
-            let obj = objective(&m, &mut ws);
+            let obj = objective.eval(&m, &mut ws);
             if obj < best_obj {
                 best_obj = obj;
-                best = m.clone();
+                best.copy_from(&m);
             }
         }
         Ok(best)
+    }
+}
+
+/// Equation 14's objective `‖off(MᵀΛ₂M)‖² + μ‖A − BM‖²`, holding the
+/// products of the last iterate it evaluated — `Λ₂M`, `D = MᵀΛ₂M`, `BM` and
+/// the residual `A − BM` — which the next gradient step reads instead of
+/// computing them again.
+struct Objective<'a> {
+    a: &'a DenseMatrix,
+    b: &'a DenseMatrix,
+    lambda2: &'a [f64],
+    mu: f64,
+    l2m: DenseMatrix,
+    d: DenseMatrix,
+    bm: DenseMatrix,
+    residual: DenseMatrix,
+}
+
+impl<'a> Objective<'a> {
+    fn new(a: &'a DenseMatrix, b: &'a DenseMatrix, lambda2: &'a [f64], mu: f64) -> Self {
+        let (q, k) = a.shape();
+        Self {
+            a,
+            b,
+            lambda2,
+            mu,
+            l2m: DenseMatrix::zeros(k, k),
+            d: DenseMatrix::zeros(k, k),
+            bm: DenseMatrix::zeros(q, k),
+            residual: DenseMatrix::zeros(q, k),
+        }
+    }
+
+    /// The objective at `m`, keeping `m`'s products.
+    fn eval(&mut self, m: &DenseMatrix, ws: &mut Workspace) -> f64 {
+        scale_rows_into(self.lambda2, m, &mut self.l2m);
+        m.tr_matmul_into(&self.l2m, &mut self.d, ws);
+        let k = self.d.rows();
+        let mut off_sq = 0.0;
+        for i in 0..k {
+            for j in 0..k {
+                if i != j {
+                    off_sq += self.d.get(i, j) * self.d.get(i, j);
+                }
+            }
+        }
+        self.b.matmul_into(m, &mut self.bm, ws);
+        self.a.add_scaled_into(-1.0, &self.bm, &mut self.residual);
+        off_sq + self.mu * self.residual.frobenius_norm().powi(2)
+    }
+}
+
+/// `out ← diag(λ)·m` as the row scaling `0.0 + λᵢ·mᵢⱼ`. For finite `m`
+/// this is the dense diagonal GEMM bit for bit: its accumulator starts at
+/// `+0` and every term but `λᵢ·mᵢⱼ` is a signed zero, which can only turn a
+/// `−0` product into `+0` — exactly what the leading `0.0 +` does.
+fn scale_rows_into(lambda: &[f64], m: &DenseMatrix, out: &mut DenseMatrix) {
+    assert_eq!(lambda.len(), m.rows(), "scale_rows_into: one λ per row");
+    assert_eq!(out.shape(), m.shape(), "scale_rows_into: output shape mismatch");
+    for (i, &l) in lambda.iter().enumerate() {
+        for (o, &x) in out.row_mut(i).iter_mut().zip(m.row(i)) {
+            *o = 0.0 + l * x;
+        }
     }
 }
 
@@ -357,6 +388,40 @@ mod tests {
         let m = g.base_align(&a, &b, &[0.0, 0.5, 1.0, 1.5]).unwrap();
         let gram = m.tr_matmul(&m);
         assert!(gram.sub(&DenseMatrix::identity(4)).max_abs() < 1e-8);
+    }
+
+    #[test]
+    fn row_scaling_matches_the_dense_diagonal_gemm_bitwise() {
+        // λ = 0 and negative λ against negative entries, +0 and −0: every
+        // product that comes out −0 must be +0, as the GEMM leaves it.
+        let lambda = [0.0, -1.5, 0.75, -0.0, 2.0];
+        let vals = [-0.0, 0.0, -2.5, 1.25, -1e-300, 3.0];
+        let m = DenseMatrix::from_fn(5, 6, |i, j| vals[(i + j) % vals.len()]);
+        let diag = DenseMatrix::from_fn(5, 5, |i, j| if i == j { lambda[i] } else { 0.0 });
+        let mut scaled = DenseMatrix::zeros(5, 6);
+        scale_rows_into(&lambda, &m, &mut scaled);
+        let bits = |x: &DenseMatrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&scaled), bits(&diag.matmul(&m)));
+    }
+
+    #[test]
+    fn base_alignment_leaving_the_newton_schulz_region_stays_orthogonal() {
+        use graphalign_par::telemetry::{self, StopReason};
+        // A step size 400× the default throws iterates far off the
+        // orthogonal group, so the projection must take the SVD route.
+        let g = Grasp { lr: 20.0, ..fast_grasp() };
+        let a = DenseMatrix::from_fn(10, 4, |i, j| ((i + j) as f64 * 0.37).sin());
+        let b = DenseMatrix::from_fn(10, 4, |i, j| ((i * j) as f64 * 0.21).cos());
+        let _sink = telemetry::install(false);
+        let m = g.base_align(&a, &b, &[0.0, 0.5, 1.0, 1.5]).unwrap();
+        let polar: Vec<_> =
+            telemetry::drain().events.into_iter().filter(|e| e.routine == "polar").collect();
+        assert_eq!(polar.len(), g.base_align_iters);
+        let fallbacks =
+            polar.iter().filter(|e| e.convergence.stop == StopReason::Breakdown).count();
+        assert!(fallbacks > 0, "lr = 20 never left the Newton–Schulz region");
+        let gram = m.tr_matmul(&m);
+        assert!(gram.sub(&DenseMatrix::identity(4)).max_abs() < 1e-12);
     }
 
     #[test]

@@ -337,9 +337,16 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document (trailing whitespace allowed).
+/// Deepest array/object nesting [`from_str`] accepts — serde_json's default
+/// recursion limit. The parser recurses once per level, so the cap bounds
+/// its stack use: without it, a body of a few hundred thousand `[` bytes
+/// overflows a 2 MiB thread stack and aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (trailing whitespace allowed). Nesting
+/// deeper than [`MAX_DEPTH`] is a [`ParseError`].
 pub fn from_str(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -352,6 +359,8 @@ pub fn from_str(text: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -389,8 +398,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -671,6 +687,30 @@ mod tests {
         assert!(from_str("nul").is_err());
         assert!(from_str("1 2").is_err());
         assert!(from_str("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let parsed = from_str(&nested(MAX_DEPTH)).expect("depth 128 parses");
+        assert_eq!(walk(&parsed).count(), MAX_DEPTH);
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(from_str(&objects).is_ok());
+        let too_deep = from_str(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(too_deep.at, MAX_DEPTH);
+        assert!(too_deep.message.contains("nesting"), "{too_deep}");
+        // Unclosed and far past the cap: a classified error, not a stack
+        // overflow, even on a thread with the 2 MiB default stack.
+        let hostile = "[".repeat(200_000);
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || from_str(&hostile).unwrap_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(err.at, MAX_DEPTH);
+        let mixed = "{\"k\":[".repeat(100);
+        assert!(from_str(&mixed).unwrap_err().message.contains("nesting"));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   tridiagonalization followed by implicit-shift QL).
 //! * [`lanczos`] — iterative top-/bottom-k eigenpairs of large sparse
 //!   symmetric operators with full reorthogonalization.
-//! * [`svd`] — thin singular value decomposition.
+//! * [`svd`] — thin singular value decomposition, and the orthogonal polar
+//!   factor by Newton–Schulz iteration for near-orthogonal input.
 //! * [`power`] — power iteration for leading eigenvectors.
 //! * [`sinkhorn`] — entropic optimal transport (Sinkhorn) and the proximal
 //!   point wrapper used by the Gromov–Wasserstein solvers.

@@ -11,11 +11,30 @@
 //! this workspace: REGAL's Nyström pseudo-inverse, CONE's Procrustes rotation
 //! and LREA's factor compression all only consume the dominant part of the
 //! spectrum, and all three clamp small singular values anyway.
+//!
+//! [`polar`] returns the orthogonal polar factor `U Vᵀ` without an SVD when
+//! its input is already close to orthogonal (GRASP's projected gradient).
 
 use crate::dense::DenseMatrix;
 use crate::eigen::symmetric_eigen;
 use crate::qr::thin_qr;
+use crate::workspace::Workspace;
 use crate::LinalgError;
+use graphalign_par::telemetry::{self, Convergence, StopReason};
+
+/// Gram error `‖XᵀX − I‖_F` below which [`polar`] runs Newton–Schulz: every
+/// squared singular value then lies in `(½, 3/2)`, well inside the
+/// iteration's basin `0 < σ < √3`, where it converges quadratically.
+const POLAR_RADIUS: f64 = 0.5;
+
+/// Gram error from which one more Newton–Schulz step is the last: the error
+/// maps to about `¾·e²` per step, so the next iterate's is below `1e-14`,
+/// the rounding level of a Gram matrix, and is not measured.
+const POLAR_LAST_STEP: f64 = 1e-7;
+
+/// Newton–Schulz step cap. From the edge of [`POLAR_RADIUS`] the iteration
+/// takes six steps; an input that needs more falls back to the SVD.
+const POLAR_MAX_STEPS: usize = 10;
 
 /// A thin SVD `A = U diag(σ) Vᵀ` with `U: m × k`, `V: n × k`,
 /// `k = min(m, n)`, singular values in *descending* order.
@@ -187,6 +206,83 @@ pub fn procrustes(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix, Linal
     Ok(svd.u.matmul_tr(&svd.v))
 }
 
+/// Orthogonal polar factor of `a` (`m × n`) into `out` (`m × n`): the
+/// `U Vᵀ` of its thin SVD, the nearest matrix with orthonormal columns.
+///
+/// For near-orthogonal input — `m ≥ n ≥ 1` and `‖AᵀA − I‖_F < ½`, which is
+/// what a projected-gradient step on the orthogonal group produces — it
+/// runs the Newton–Schulz (Björck–Bowie) iteration `X ← X(3I − XᵀX)/2`
+/// (Björck & Bowie 1971; Higham 1986): two products per step, in buffers
+/// drawn from `ws`, and a stop once the iterate is orthogonal to rounding
+/// level. Any other input — wide, farther from orthogonal, rank-deficient
+/// or non-finite — gets [`thin_svd`] followed by `U·Vᵀ`, bit for bit.
+///
+/// Records one `"polar"` telemetry event: the Newton–Schulz steps and the
+/// last measured Gram error, or stop reason `breakdown` (still converged)
+/// when the SVD answered.
+///
+/// # Errors
+/// Those of [`thin_svd`], on the SVD path only: [`LinalgError::NotFinite`]
+/// for non-finite input.
+///
+/// # Panics
+/// Panics if `out` is not `m × n`.
+pub fn polar(
+    a: &DenseMatrix,
+    out: &mut DenseMatrix,
+    ws: &mut Workspace,
+) -> Result<(), LinalgError> {
+    let (m, n) = a.shape();
+    assert_eq!(out.shape(), (m, n), "polar: output shape mismatch");
+    let mut steps = 0;
+    if m >= n && n > 0 {
+        // The iterate lives in `out`; the SVD path overwrites it whole.
+        let mut next = ws.take_matrix(m, n);
+        let mut t = ws.take_matrix(n, n);
+        out.copy_from(a);
+        let converged = loop {
+            out.tr_matmul_into(out, &mut t, ws);
+            let mut err_sq = 0.0;
+            for i in 0..n {
+                for (j, g) in t.row_mut(i).iter_mut().enumerate() {
+                    let delta = if i == j { 1.0 } else { 0.0 };
+                    err_sq += (*g - delta) * (*g - delta);
+                    // T = (3I − XᵀX)/2, built in place of the Gram matrix.
+                    *g = 1.5 * delta - 0.5 * *g;
+                }
+            }
+            let err = err_sq.sqrt();
+            // False for a NaN error too: non-finite input takes the SVD.
+            let inside = err < POLAR_RADIUS;
+            if !inside || steps == POLAR_MAX_STEPS {
+                break None;
+            }
+            out.matmul_into(&t, &mut next, ws);
+            std::mem::swap(out, &mut next);
+            steps += 1;
+            if err <= POLAR_LAST_STEP {
+                break Some(err);
+            }
+        };
+        ws.give_matrix(t);
+        ws.give_matrix(next);
+        if let Some(err) = converged {
+            telemetry::record("polar", Convergence::tolerance(steps, err));
+            return Ok(());
+        }
+    }
+    let svd = thin_svd(a)?;
+    svd.u.matmul_tr_into(&svd.v, out, ws);
+    let fallback = Convergence {
+        iterations: steps,
+        residual: 0.0,
+        converged: true,
+        stop: StopReason::Breakdown,
+    };
+    telemetry::record("polar", fallback);
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,6 +356,70 @@ mod tests {
         let b = a.matmul(&q);
         let q_hat = procrustes(&a, &b).unwrap();
         assert!(q_hat.sub(&q).max_abs() < 1e-8, "Procrustes failed to recover rotation");
+    }
+
+    /// `thin_svd` → `U·Vᵀ`, the SVD route `polar` falls back to.
+    fn svd_polar(a: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
+        let svd = thin_svd(a)?;
+        Ok(svd.u.matmul_tr(&svd.v))
+    }
+
+    /// Runs `polar` under a telemetry sink; returns the result and the
+    /// stop reason of its `"polar"` event.
+    fn polar_traced(a: &DenseMatrix) -> (Result<DenseMatrix, LinalgError>, Option<StopReason>) {
+        let _sink = telemetry::install(false);
+        let mut out = DenseMatrix::zeros(a.rows(), a.cols());
+        let res = polar(a, &mut out, &mut Workspace::new()).map(|()| out);
+        let stop = telemetry::drain()
+            .events
+            .iter()
+            .find(|e| e.routine == "polar")
+            .map(|e| e.convergence.stop);
+        (res, stop)
+    }
+
+    /// A random `k × k` orthogonal matrix plus a step of Frobenius norm
+    /// 0.05 — the shape of GRASP's projected-gradient iterate.
+    fn near_orthogonal(k: usize, seed: u64) -> DenseMatrix {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let raw = DenseMatrix::from_fn(k, k, |_, _| rng.random_range(-1.0..1.0));
+        let mut q = crate::qr::thin_qr(&raw).q;
+        let step = DenseMatrix::from_fn(k, k, |_, _| rng.random_range(-1.0..1.0));
+        q.add_scaled(0.05 / step.frobenius_norm(), &step);
+        q
+    }
+
+    #[test]
+    fn polar_newton_schulz_is_orthogonal_and_matches_the_svd() {
+        for (seed, k) in [1usize, 2, 40, 64].into_iter().enumerate() {
+            let a = near_orthogonal(k, 11 + seed as u64);
+            let (p, stop) = polar_traced(&a);
+            let p = p.unwrap();
+            assert_eq!(stop, Some(StopReason::Tolerance), "k = {k} must take Newton–Schulz");
+            let gram_err = p.tr_matmul(&p).sub(&DenseMatrix::identity(k)).max_abs();
+            assert!(gram_err <= 1e-13, "k = {k}: ‖PᵀP − I‖_max = {gram_err:e}");
+            let gap = p.sub(&svd_polar(&a).unwrap()).max_abs();
+            assert!(gap <= 1e-12, "k = {k}: Newton–Schulz vs SVD polar factor {gap:e}");
+        }
+    }
+
+    #[test]
+    fn polar_falls_back_to_the_svd_bit_for_bit() {
+        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let far = DenseMatrix::from_fn(5, 5, |i, j| ((i * 5 + j) as f64 * 0.7).sin() * 2.0);
+        let rank_deficient = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
+        let wide = DenseMatrix::from_rows(&[&[1.0, 0.0, 0.1], &[0.0, 1.0, 0.0]]);
+        for a in [far, rank_deficient, wide] {
+            let (p, stop) = polar_traced(&a);
+            assert_eq!(stop, Some(StopReason::Breakdown), "{a:?} must fall back");
+            assert_eq!(bits(&p.unwrap()), bits(&svd_polar(&a).unwrap()));
+        }
+        let mut non_finite = DenseMatrix::identity(3);
+        non_finite.set(1, 2, f64::NAN);
+        let err = polar_traced(&non_finite).0.unwrap_err();
+        assert_eq!(err, svd_polar(&non_finite).unwrap_err());
+        assert!(matches!(err, LinalgError::NotFinite { .. }));
     }
 
     #[test]

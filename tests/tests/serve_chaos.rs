@@ -333,6 +333,33 @@ fn oversized_and_malformed_requests_get_413_and_400() {
 }
 
 #[test]
+fn deeply_nested_job_body_gets_400_and_the_server_keeps_serving() {
+    let _guard = lock();
+    let server = start(ServeConfig::default()).expect("start");
+    let addr = server.addr().to_string();
+    let (source, target) = test_pair();
+    let (src, tgt) = (upload(&addr, &source), upload(&addr, &target));
+    let cold = clean_job_bit_identical(&addr, &src, &tgt, "REGAL");
+
+    // 200 000 `[` bytes: 0.2 MB, far under the body cap, yet deep enough to
+    // overflow a connection thread's stack if the parser recursed into it.
+    let hostile = vec![b'['; 200_000];
+    let resp = http::request(&addr, "POST", "/jobs", &hostile).expect("request");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("nesting"), "classified parse error: {}", resp.body);
+
+    let healthz = http::request(&addr, "GET", "/healthz", b"").expect("server still up");
+    assert_eq!(healthz.status, 200, "{}", healthz.body);
+    assert_eq!(str_field(&healthz.json(), "status"), "ready");
+    let warm = wait_terminal(&addr, submit(&addr, &src, &tgt, "REGAL", None));
+    let hits = num_field(&warm, &["telemetry", "ops", "cache_hits"]);
+    assert_eq!(hits, 1.0, "the follow-up query is a warm cache hit: {warm:?}");
+    assert_eq!(warm.get("mapping"), Some(&cold), "warm mapping is bit-identical");
+    assert_eq!(clean_job_bit_identical(&addr, &src, &tgt, "REGAL"), cold);
+    stop(server);
+}
+
+#[test]
 fn slow_loris_connections_get_408_and_release_their_thread() {
     let _guard = lock();
     let server = start(ServeConfig {
