@@ -3,51 +3,11 @@
 //! degree 10 (paper §6.6; n = 2¹⁰ … 2¹⁶, assignment time excluded, 5 runs,
 //! GRAAL excluded for its quintic preprocessing).
 
-use graphalign_assignment::AssignmentMethod;
-use graphalign_bench::figures::{banner, SweepRow};
-use graphalign_bench::harness::run_instance_split;
-use graphalign_bench::journal::{CellKey, Journal};
-use graphalign_bench::memprobe::{fmt_bytes, CellRssProbe};
-use graphalign_bench::suite::Algo;
+use graphalign_bench::figures::{banner, runtime_sweep, ScaleAxis, SweepRow, SweepSession};
+use graphalign_bench::journal::CellKey;
+use graphalign_bench::memprobe::fmt_bytes;
 use graphalign_bench::table::{secs, Table};
 use graphalign_bench::{xl, Config};
-use graphalign_graph::permutation::AlignmentInstance;
-
-struct Row {
-    algorithm: String,
-    n: usize,
-    seconds: f64,
-    /// Peak-RSS growth attributable to this cell (see
-    /// [`graphalign_bench::memprobe::CellRssProbe`]); `None` when `/proc`
-    /// is unavailable.
-    rss_delta_bytes: Option<usize>,
-    /// Representation the algorithm's similarity used (`"dense"`,
-    /// `"lowrank"`, `"sparse"`); `None` when the cell never produced one.
-    similarity_repr: Option<String>,
-    /// Bytes the similarity payload occupies in that representation.
-    similarity_bytes: Option<usize>,
-    skipped: bool,
-    error_class: Option<String>,
-}
-
-graphalign_json::impl_to_json!(Row {
-    algorithm,
-    n,
-    seconds,
-    rss_delta_bytes,
-    similarity_repr,
-    similarity_bytes,
-    skipped,
-    error_class
-});
-
-pub(crate) fn node_grid(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![1 << 8, 1 << 9, 1 << 10]
-    } else {
-        (10..=16).map(|e| 1 << e).collect()
-    }
-}
 
 /// The `--scale xl` branch: the streamed never-densify tier. Instances come
 /// from [`xl::instance`] (chunked CSR build off a disk edge stream), only the
@@ -60,14 +20,7 @@ fn run_xl(cfg: &Config) {
         cfg,
         "ring+chords avg degree 10; similarity timed, sliced sharded-NN probe",
     );
-    let mut journal = cfg.out.as_deref().map(|out| {
-        let opened =
-            if cfg.resume { Journal::resume(out, cfg.seed) } else { Journal::fresh(out, cfg.seed) };
-        opened.unwrap_or_else(|e| {
-            eprintln!("error: journal for {}: {e}", out.display());
-            std::process::exit(1);
-        })
-    });
+    let mut session = SweepSession::new(cfg);
     let slice = if cfg.quick { xl::XL_EVAL_SLICE_QUICK } else { xl::XL_EVAL_SLICE };
     let dir = xl::stream_dir();
     let mut t =
@@ -80,64 +33,56 @@ fn run_xl(cfg: &Config) {
         for algo in xl::XlAlgo::ALL {
             let key =
                 CellKey::new(xl::XL_WORKLOAD, algo.name(), "NN", "none", n as f64, cfg.seed, 1);
-            if let Some(row) = journal.as_ref().and_then(|j| j.lookup(&key)) {
-                let row = row.clone();
-                t.row(&[
-                    algo.name().into(),
-                    n.to_string(),
-                    row.cell.seconds.map_or_else(|| "journal".into(), secs),
-                    row.cell.accuracy.map_or_else(|| "-".into(), |a| format!("{a:.4}")),
-                    "journal".into(),
-                    "-".into(),
-                    "-".into(),
-                ]);
-                rows.push(row);
-                continue;
-            }
-            if inst.is_none() {
-                std::fs::create_dir_all(&dir).unwrap_or_else(|e| {
-                    eprintln!("error: create {}: {e}", dir.display());
-                    std::process::exit(1);
+            // Set when the cell runs: a replayed row carries no memory facts.
+            let mut ran = None;
+            let row = session.journaled_cell(key, |_| {
+                let inst = inst.get_or_insert_with(|| {
+                    std::fs::create_dir_all(&dir).unwrap_or_else(|e| {
+                        eprintln!("error: create {}: {e}", dir.display());
+                        std::process::exit(1);
+                    });
+                    xl::instance(&dir, n, cfg.seed).unwrap_or_else(|e| {
+                        eprintln!("error: streamed instance at n={n}: {e}");
+                        std::process::exit(1);
+                    })
                 });
-                inst = Some(xl::instance(&dir, n, cfg.seed).unwrap_or_else(|e| {
-                    eprintln!("error: streamed instance at n={n}: {e}");
-                    std::process::exit(1);
-                }));
-            }
-            let m = xl::run_cell(
-                algo,
-                inst.as_ref().expect("instance built above"),
-                slice,
-                cfg.cell_timeout.map(std::time::Duration::from_secs_f64),
-            );
-            if m.densifications > 0 {
-                eprintln!(
-                    "warning: {} at n={n}: {} densification(s) — XL tier must stay factored",
-                    algo.name(),
-                    m.densifications
-                );
-            }
+                let timeout = cfg.cell_timeout.map(std::time::Duration::from_secs_f64);
+                let m = xl::run_cell(algo, inst, slice, timeout);
+                if m.densifications > 0 {
+                    eprintln!(
+                        "warning: {} at n={n}: {} densification(s) — XL tier must stay factored",
+                        algo.name(),
+                        m.densifications
+                    );
+                }
+                ran = Some((m.sim, m.rss_delta_bytes));
+                let level = n as f64;
+                SweepRow {
+                    workload: xl::XL_WORKLOAD.into(),
+                    noise: "none".into(),
+                    level,
+                    cell: m.cell,
+                }
+            });
+            let cell = &row.cell;
+            let (no_time, repr, sim, rss) = match ran {
+                Some((sim, rss)) => (
+                    cell.error_class.clone().unwrap_or_default(),
+                    sim.map_or_else(|| "-".into(), |s| s.repr.into()),
+                    sim.map_or_else(|| "-".into(), |s| fmt_bytes(s.bytes)),
+                    rss.map_or_else(|| "-".into(), fmt_bytes),
+                ),
+                None => ("journal".into(), "journal".into(), "-".into(), "-".into()),
+            };
             t.row(&[
                 algo.name().into(),
                 n.to_string(),
-                m.cell.seconds.map_or_else(|| m.cell.error_class.clone().unwrap_or_default(), secs),
-                m.cell.accuracy.map_or_else(|| "-".into(), |a| format!("{a:.4}")),
-                m.sim.map_or_else(|| "-".into(), |s| s.repr.into()),
-                m.sim.map_or_else(|| "-".into(), |s| fmt_bytes(s.bytes)),
-                m.rss_delta_bytes.map_or_else(|| "-".into(), fmt_bytes),
+                cell.seconds.map_or(no_time, secs),
+                cell.accuracy.map_or_else(|| "-".into(), |a| format!("{a:.4}")),
+                repr,
+                sim,
+                rss,
             ]);
-            let row = SweepRow {
-                workload: xl::XL_WORKLOAD.into(),
-                noise: "none".into(),
-                level: n as f64,
-                cell: m.cell,
-            };
-            if let Some(j) = journal.as_mut() {
-                if let Err(e) = j.record(key, &row) {
-                    eprintln!("error: journal write to {}: {e}", j.path().display());
-                    std::process::exit(1);
-                }
-            }
             rows.push(row);
         }
     }
@@ -152,87 +97,10 @@ fn main() {
         return;
     }
     banner("Figure 11 (runtime vs node count)", &cfg, "configuration model, avg degree 10");
-    let reps = cfg.reps(5);
-    let mut t = Table::new(&["algorithm", "n", "time(similarity)", "rss"]);
-    let mut rows = Vec::new();
-    for n in node_grid(cfg.quick) {
+    let nodes: Vec<usize> =
+        if cfg.quick { vec![1 << 8, 1 << 9, 1 << 10] } else { (10..=16).map(|e| 1 << e).collect() };
+    runtime_sweep(&cfg, ScaleAxis::Nodes(10), &nodes, |n| {
         let seq = graphalign_gen::degrees::normal(n, 10.0, 2.5, cfg.seed);
-        let base = graphalign_gen::configuration_model(&seq, cfg.seed ^ n as u64);
-        for algo in Algo::ALL {
-            if algo == Algo::Graal {
-                continue; // excluded by the paper (O(n^5) preprocessing)
-            }
-            if !algo.feasible(n, base.avg_degree(), cfg.quick) {
-                t.row(&[algo.name().into(), n.to_string(), "skip (>budget)".into(), "-".into()]);
-                rows.push(Row {
-                    algorithm: algo.name().into(),
-                    n,
-                    seconds: 0.0,
-                    rss_delta_bytes: None,
-                    similarity_repr: None,
-                    similarity_bytes: None,
-                    skipped: true,
-                    error_class: Some("infeasible".into()),
-                });
-                continue;
-            }
-            // One budget per (algorithm, n) cell for `--cell-timeout`.
-            let _budget = graphalign_par::budget::install(
-                cfg.cell_timeout.map(std::time::Duration::from_secs_f64),
-            );
-            let probe = CellRssProbe::begin();
-            let mut total = 0.0;
-            let mut failure = None;
-            let mut sim_stats = None;
-            for r in 0..reps {
-                let inst = AlignmentInstance::permuted(base.clone(), cfg.seed + r as u64);
-                match run_instance_split(algo, true, &inst, AssignmentMethod::NearestNeighbor) {
-                    Ok((_, s, stats)) => {
-                        total += s;
-                        sim_stats = Some(stats);
-                    }
-                    Err(e) => {
-                        eprintln!("warning: {} at n={n}: {e}", algo.name());
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            let rss_delta_bytes = probe.delta_bytes();
-            let rss_label = rss_delta_bytes.map_or_else(|| "-".into(), fmt_bytes);
-            let similarity_repr = sim_stats.map(|s| s.repr.to_string());
-            let similarity_bytes = sim_stats.map(|s| s.bytes);
-            match failure {
-                None => {
-                    let avg = total / reps as f64;
-                    t.row(&[algo.name().into(), n.to_string(), secs(avg), rss_label]);
-                    rows.push(Row {
-                        algorithm: algo.name().into(),
-                        n,
-                        seconds: avg,
-                        rss_delta_bytes,
-                        similarity_repr,
-                        similarity_bytes,
-                        skipped: false,
-                        error_class: None,
-                    });
-                }
-                Some(e) => {
-                    t.row(&[algo.name().into(), n.to_string(), e.class.to_string(), rss_label]);
-                    rows.push(Row {
-                        algorithm: algo.name().into(),
-                        n,
-                        seconds: 0.0,
-                        rss_delta_bytes,
-                        similarity_repr,
-                        similarity_bytes,
-                        skipped: false,
-                        error_class: Some(e.class.as_str().into()),
-                    });
-                }
-            }
-        }
-    }
-    t.print();
-    cfg.write_json(&rows);
+        graphalign_gen::configuration_model(&seq, cfg.seed ^ n as u64)
+    });
 }

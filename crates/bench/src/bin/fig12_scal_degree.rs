@@ -2,138 +2,19 @@
 //! configuration-model graphs with 2¹⁴ nodes and uniform degree
 //! distribution, Δ ∈ {10, 10², 10³, 10⁴} (paper §6.6).
 
-use graphalign_assignment::AssignmentMethod;
-use graphalign_bench::figures::banner;
-use graphalign_bench::harness::run_instance_split;
-use graphalign_bench::memprobe::{fmt_bytes, CellRssProbe};
-use graphalign_bench::suite::Algo;
-use graphalign_bench::table::{secs, Table};
+use graphalign_bench::figures::{banner, runtime_sweep, ScaleAxis};
 use graphalign_bench::Config;
-use graphalign_graph::permutation::AlignmentInstance;
-
-struct Row {
-    algorithm: String,
-    n: usize,
-    avg_degree: usize,
-    seconds: f64,
-    rss_delta_bytes: Option<usize>,
-    /// Representation the algorithm's similarity used (`"dense"`,
-    /// `"lowrank"`, `"sparse"`); `None` when the cell never produced one.
-    similarity_repr: Option<String>,
-    /// Bytes the similarity payload occupies in that representation.
-    similarity_bytes: Option<usize>,
-    skipped: bool,
-    error_class: Option<String>,
-}
-
-graphalign_json::impl_to_json!(Row {
-    algorithm,
-    n,
-    avg_degree,
-    seconds,
-    rss_delta_bytes,
-    similarity_repr,
-    similarity_bytes,
-    skipped,
-    error_class
-});
-
-fn grids(quick: bool) -> (usize, Vec<usize>) {
-    if quick {
-        (1 << 9, vec![10, 50, 100])
-    } else {
-        (1 << 14, vec![10, 100, 1000, 10_000])
-    }
-}
 
 fn main() {
     let cfg = Config::from_args();
-    let (n, degrees) = grids(cfg.quick);
+    let (n, degrees) = if cfg.quick {
+        (1 << 9, vec![10, 50, 100])
+    } else {
+        (1 << 14, vec![10, 100, 1000, 10_000])
+    };
     banner("Figure 12 (runtime vs average degree)", &cfg, &format!("configuration model, n = {n}"));
-    let reps = cfg.reps(5);
-    let mut t = Table::new(&["algorithm", "avg_degree", "time(similarity)", "rss"]);
-    let mut rows = Vec::new();
-    for &deg in &degrees {
+    runtime_sweep(&cfg, ScaleAxis::Degree(n), &degrees, |deg| {
         let seq = graphalign_gen::degrees::uniform(n, deg);
-        let base = graphalign_gen::configuration_model(&seq, cfg.seed ^ deg as u64);
-        for algo in Algo::ALL {
-            if algo == Algo::Graal {
-                continue;
-            }
-            if !algo.feasible(n, base.avg_degree(), cfg.quick) {
-                t.row(&[algo.name().into(), deg.to_string(), "skip (>budget)".into(), "-".into()]);
-                rows.push(Row {
-                    algorithm: algo.name().into(),
-                    n,
-                    avg_degree: deg,
-                    seconds: 0.0,
-                    rss_delta_bytes: None,
-                    similarity_repr: None,
-                    similarity_bytes: None,
-                    skipped: true,
-                    error_class: Some("infeasible".into()),
-                });
-                continue;
-            }
-            // One budget per (algorithm, degree) cell for `--cell-timeout`.
-            let _budget = graphalign_par::budget::install(
-                cfg.cell_timeout.map(std::time::Duration::from_secs_f64),
-            );
-            let probe = CellRssProbe::begin();
-            let mut total = 0.0;
-            let mut failure = None;
-            let mut sim_stats = None;
-            for r in 0..reps {
-                let inst = AlignmentInstance::permuted(base.clone(), cfg.seed + r as u64);
-                match run_instance_split(algo, true, &inst, AssignmentMethod::NearestNeighbor) {
-                    Ok((_, s, stats)) => {
-                        total += s;
-                        sim_stats = Some(stats);
-                    }
-                    Err(e) => {
-                        eprintln!("warning: {} at deg={deg}: {e}", algo.name());
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            let rss_delta_bytes = probe.delta_bytes();
-            let rss_label = rss_delta_bytes.map_or_else(|| "-".into(), fmt_bytes);
-            let similarity_repr = sim_stats.map(|s| s.repr.to_string());
-            let similarity_bytes = sim_stats.map(|s| s.bytes);
-            match failure {
-                None => {
-                    let avg = total / reps as f64;
-                    t.row(&[algo.name().into(), deg.to_string(), secs(avg), rss_label]);
-                    rows.push(Row {
-                        algorithm: algo.name().into(),
-                        n,
-                        avg_degree: deg,
-                        seconds: avg,
-                        rss_delta_bytes,
-                        similarity_repr,
-                        similarity_bytes,
-                        skipped: false,
-                        error_class: None,
-                    });
-                }
-                Some(e) => {
-                    t.row(&[algo.name().into(), deg.to_string(), e.class.to_string(), rss_label]);
-                    rows.push(Row {
-                        algorithm: algo.name().into(),
-                        n,
-                        avg_degree: deg,
-                        seconds: 0.0,
-                        rss_delta_bytes,
-                        similarity_repr,
-                        similarity_bytes,
-                        skipped: false,
-                        error_class: Some(e.class.as_str().into()),
-                    });
-                }
-            }
-        }
-    }
-    t.print();
-    cfg.write_json(&rows);
+        graphalign_gen::configuration_model(&seq, cfg.seed ^ deg as u64)
+    });
 }

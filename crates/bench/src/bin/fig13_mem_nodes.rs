@@ -4,47 +4,10 @@
 //! plus the process peak RSS; DESIGN.md §3.8 documents the substitution for
 //! whole-process RSS measurement.
 
-use graphalign_bench::figures::banner;
-use graphalign_bench::memprobe::{fmt_bytes, model_bytes, CellRssProbe};
-use graphalign_bench::suite::Algo;
+use graphalign_bench::figures::{banner, model_bytes_table, ScaleAxis};
+use graphalign_bench::memprobe::{fmt_bytes, CellRssProbe};
 use graphalign_bench::table::Table;
 use graphalign_bench::{xl, Config};
-
-struct Row {
-    algorithm: String,
-    n: usize,
-    m: usize,
-    model_bytes: usize,
-    fits_256gb: bool,
-}
-
-graphalign_json::impl_to_json!(Row { algorithm, n, m, model_bytes, fits_256gb });
-
-fn node_grid(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![1 << 8, 1 << 10, 1 << 12]
-    } else {
-        (10..=16).map(|e| 1 << e).collect()
-    }
-}
-
-struct XlRow {
-    algorithm: String,
-    n: usize,
-    m: usize,
-    model_bytes: usize,
-    budget_bytes: usize,
-    fits_nd_budget: bool,
-}
-
-graphalign_json::impl_to_json!(XlRow {
-    algorithm,
-    n,
-    m,
-    model_bytes,
-    budget_bytes,
-    fits_nd_budget
-});
 
 /// The `--scale xl` branch: analytic model bytes for the XL roster at the XL
 /// node grid, checked against the tier's enforced `O(n·d)` budget
@@ -73,14 +36,14 @@ fn run_xl(cfg: &Config) {
                 fmt_bytes(budget),
                 if fits { "yes".into() } else { "NO".into() },
             ]);
-            rows.push(XlRow {
-                algorithm: algo.name().into(),
-                n,
-                m,
-                model_bytes: bytes,
-                budget_bytes: budget,
-                fits_nd_budget: fits,
-            });
+            rows.push(graphalign_json::json!({
+                "algorithm": algo.name(),
+                "n": n,
+                "m": m,
+                "model_bytes": bytes,
+                "budget_bytes": budget,
+                "fits_nd_budget": fits,
+            }));
         }
         // The contrast row the figure exists for: any dense n×n object.
         let dense = graphalign_linalg::Similarity::dense_bytes(n, n);
@@ -105,37 +68,11 @@ fn main() {
         run_xl(&cfg);
         return;
     }
-    let probe = CellRssProbe::begin();
     banner("Figure 13 (memory vs node count)", &cfg, "configuration model, avg degree 10");
-    let budget: usize = 256 * 1024 * 1024 * 1024;
-    let mut t = Table::new(&["algorithm", "n", "model bytes", "fits 256GB"]);
-    let mut rows = Vec::new();
-    for n in node_grid(cfg.quick) {
-        let m = 5 * n; // avg degree 10
-        for algo in Algo::ALL {
-            if algo == Algo::Graal {
-                continue;
-            }
-            let bytes = model_bytes(algo, n, m);
-            let fits = bytes <= budget;
-            t.row(&[
-                algo.name().into(),
-                n.to_string(),
-                fmt_bytes(bytes),
-                if fits { "yes".into() } else { "NO".into() },
-            ]);
-            rows.push(Row {
-                algorithm: algo.name().into(),
-                n,
-                m,
-                model_bytes: bytes,
-                fits_256gb: fits,
-            });
-        }
-    }
-    t.print();
-    if let Some(delta) = probe.delta_bytes() {
-        println!("peak RSS growth while tabulating: {}", fmt_bytes(delta));
-    }
-    cfg.write_json(&rows);
+    let nodes: Vec<usize> = if cfg.quick {
+        vec![1 << 8, 1 << 10, 1 << 12]
+    } else {
+        (10..=16).map(|e| 1 << e).collect()
+    };
+    model_bytes_table(&cfg, ScaleAxis::Nodes(10), &nodes);
 }

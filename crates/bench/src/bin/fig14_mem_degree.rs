@@ -4,57 +4,13 @@
 //! not grow with the edge count while dense methods' does — falls out of
 //! the per-algorithm model terms.
 
-use graphalign_bench::figures::banner;
-use graphalign_bench::memprobe::{fmt_bytes, model_bytes, CellRssProbe};
-use graphalign_bench::suite::Algo;
-use graphalign_bench::table::Table;
+use graphalign_bench::figures::{banner, model_bytes_table, ScaleAxis};
 use graphalign_bench::Config;
-
-struct Row {
-    algorithm: String,
-    n: usize,
-    avg_degree: usize,
-    model_bytes: usize,
-    fits_256gb: bool,
-}
-
-graphalign_json::impl_to_json!(Row { algorithm, n, avg_degree, model_bytes, fits_256gb });
 
 fn main() {
     let cfg = Config::from_args();
-    let probe = CellRssProbe::begin();
     let n = if cfg.quick { 1 << 10 } else { 1 << 14 };
     banner("Figure 14 (memory vs average degree)", &cfg, &format!("n = {n}"));
-    let budget: usize = 256 * 1024 * 1024 * 1024;
     let degrees: Vec<usize> = if cfg.quick { vec![10, 100] } else { vec![10, 100, 1000, 10_000] };
-    let mut t = Table::new(&["algorithm", "avg_degree", "model bytes", "fits 256GB"]);
-    let mut rows = Vec::new();
-    for &deg in &degrees {
-        let m = n * deg / 2;
-        for algo in Algo::ALL {
-            if algo == Algo::Graal {
-                continue;
-            }
-            let bytes = model_bytes(algo, n, m);
-            let fits = bytes <= budget;
-            t.row(&[
-                algo.name().into(),
-                deg.to_string(),
-                fmt_bytes(bytes),
-                if fits { "yes".into() } else { "NO".into() },
-            ]);
-            rows.push(Row {
-                algorithm: algo.name().into(),
-                n,
-                avg_degree: deg,
-                model_bytes: bytes,
-                fits_256gb: fits,
-            });
-        }
-    }
-    t.print();
-    if let Some(delta) = probe.delta_bytes() {
-        println!("peak RSS growth while tabulating: {}", fmt_bytes(delta));
-    }
-    cfg.write_json(&rows);
+    model_bytes_table(&cfg, ScaleAxis::Degree(n), &degrees);
 }

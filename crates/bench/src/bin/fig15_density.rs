@@ -3,140 +3,27 @@
 //! probability `p` at fixed `k` and (b) the neighbor count `k` at fixed
 //! `p = 0.5` — the paper's density study (§6.7).
 
-use graphalign_assignment::AssignmentMethod;
-use graphalign_bench::figures::banner;
-use graphalign_bench::harness::run_cell;
-use graphalign_bench::suite::Algo;
-use graphalign_bench::table::{pct, Table};
+use graphalign_bench::figures::{banner, nw_accuracy_sweep, NwGraph, NwParam, NwSweep};
 use graphalign_bench::Config;
-use graphalign_noise::{NoiseConfig, NoiseModel};
-
-struct Row {
-    sweep: String,
-    p: f64,
-    k: usize,
-    algorithm: String,
-    accuracy: Option<f64>,
-    wall_clock: f64,
-    threads: usize,
-    skipped: bool,
-    reps_ok: usize,
-    error_class: Option<String>,
-}
-
-graphalign_json::impl_to_json!(Row {
-    sweep,
-    p,
-    k,
-    algorithm,
-    accuracy,
-    wall_clock,
-    threads,
-    skipped,
-    reps_ok,
-    error_class
-});
 
 fn main() {
     let cfg = Config::from_args();
     let n = if cfg.quick { 300 } else { 2000 };
     banner("Figure 15 (density)", &cfg, &format!("Newman-Watts, n = {n}, 1% one-way noise"));
-    let noise = NoiseConfig::new(NoiseModel::OneWay, 0.01);
-    let policy = cfg.policy(5);
-    let mut t = Table::new(&["sweep", "p", "k", "algorithm", "accuracy"]);
-    let mut rows = Vec::new();
     // (a) Sweep the rewiring probability at fixed k.
     let ps: Vec<f64> =
         if cfg.quick { vec![0.2, 0.5, 0.8] } else { vec![0.2, 0.35, 0.5, 0.65, 0.8] };
-    let k_fixed = 14;
-    for &p in &ps {
-        let base = graphalign_gen::newman_watts(n, k_fixed, p, cfg.seed ^ (p * 100.0) as u64);
-        for algo in Algo::ALL {
-            let cell =
-                run_cell(algo, &base, true, &noise, AssignmentMethod::JonkerVolgenant, &policy);
-            t.row(&[
-                "vary p".into(),
-                format!("{p:.2}"),
-                k_fixed.to_string(),
-                cell.algorithm.clone(),
-                match cell.accuracy {
-                    Some(a) if !cell.skipped => pct(a),
-                    _ => "-".into(),
-                },
-            ]);
-            rows.push(Row {
-                sweep: "vary_p".into(),
-                p,
-                k: k_fixed,
-                algorithm: cell.algorithm,
-                accuracy: cell.accuracy,
-                wall_clock: cell.wall_clock,
-                threads: cell.threads,
-                skipped: cell.skipped,
-                reps_ok: cell.reps_ok,
-                error_class: cell.error_class,
-            });
-        }
-    }
+    let vary_p = ps.iter().map(|&p| NwGraph { n, k: 14, p, seed: cfg.seed ^ (p * 100.0) as u64 });
     // (b) Sweep the neighbor count at fixed p = 0.5.
     let ks: Vec<usize> =
         if cfg.quick { vec![10, 50, 100] } else { vec![10, 50, 100, 200, 400, 600] };
-    for &k in &ks {
-        if k >= n {
-            continue;
-        }
-        let base = graphalign_gen::newman_watts(n, k, 0.5, cfg.seed ^ k as u64);
-        for algo in Algo::ALL {
-            let cell =
-                run_cell(algo, &base, true, &noise, AssignmentMethod::JonkerVolgenant, &policy);
-            t.row(&[
-                "vary k".into(),
-                "0.50".into(),
-                k.to_string(),
-                cell.algorithm.clone(),
-                match cell.accuracy {
-                    Some(a) if !cell.skipped => pct(a),
-                    _ => "-".into(),
-                },
-            ]);
-            rows.push(Row {
-                sweep: "vary_k".into(),
-                p: 0.5,
-                k,
-                algorithm: cell.algorithm,
-                accuracy: cell.accuracy,
-                wall_clock: cell.wall_clock,
-                threads: cell.threads,
-                skipped: cell.skipped,
-                reps_ok: cell.reps_ok,
-                error_class: cell.error_class,
-            });
-        }
-    }
-    t.print();
-    for (sweep, x_of) in [
-        ("vary_p", Box::new(|r: &Row| r.p) as Box<dyn Fn(&Row) -> f64>),
-        ("vary_k", Box::new(|r: &Row| r.k as f64)),
-    ] {
-        let chart_rows: Vec<(String, f64, f64)> = rows
-            .iter()
-            .filter(|r| r.sweep == sweep && !r.skipped && r.reps_ok > 0)
-            .map(|r| (r.algorithm.clone(), x_of(r), r.accuracy.unwrap_or(0.0)))
-            .collect();
-        if chart_rows.is_empty() {
-            continue;
-        }
-        let series = graphalign_bench::plot::series_from_rows(&chart_rows);
-        println!();
-        print!(
-            "{}",
-            graphalign_bench::plot::line_chart(
-                &format!("accuracy — {sweep} (1% one-way noise)"),
-                &series,
-                60,
-                12,
-            )
-        );
-    }
-    cfg.write_json(&rows);
+    let vary_k =
+        ks.iter().filter(|&&k| k < n).map(|&k| NwGraph { n, k, p: 0.5, seed: cfg.seed ^ k as u64 });
+    let sweeps = [
+        NwSweep { label: "vary p", key: "vary_p", chart_x: NwParam::P, graphs: vary_p.collect() },
+        NwSweep { label: "vary k", key: "vary_k", chart_x: NwParam::K, graphs: vary_k.collect() },
+    ];
+    nw_accuracy_sweep(&cfg, NwParam::P, &sweeps, |sweep| {
+        format!("accuracy — {sweep} (1% one-way noise)")
+    });
 }

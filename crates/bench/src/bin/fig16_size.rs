@@ -4,105 +4,29 @@
 //! `k = n/10` (paper §6.7: "as the graph becomes progressively sparser,
 //! alignment quality drops, except with IsoRank").
 
-use graphalign_assignment::AssignmentMethod;
-use graphalign_bench::figures::banner;
-use graphalign_bench::harness::run_cell;
-use graphalign_bench::suite::Algo;
-use graphalign_bench::table::{pct, Table};
+use graphalign_bench::figures::{banner, nw_accuracy_sweep, NwGraph, NwParam, NwSweep};
 use graphalign_bench::Config;
-use graphalign_noise::{NoiseConfig, NoiseModel};
-
-struct Row {
-    sweep: String,
-    n: usize,
-    k: usize,
-    algorithm: String,
-    accuracy: Option<f64>,
-    wall_clock: f64,
-    threads: usize,
-    skipped: bool,
-    reps_ok: usize,
-    error_class: Option<String>,
-}
-
-graphalign_json::impl_to_json!(Row {
-    sweep,
-    n,
-    k,
-    algorithm,
-    accuracy,
-    wall_clock,
-    threads,
-    skipped,
-    reps_ok,
-    error_class
-});
 
 fn main() {
     let cfg = Config::from_args();
     banner("Figure 16 (size)", &cfg, "Newman-Watts, p = 0.5, 1% one-way noise");
-    let noise = NoiseConfig::new(NoiseModel::OneWay, 0.01);
-    let policy = cfg.policy(5);
     let sizes: Vec<usize> =
         if cfg.quick { vec![100, 200, 400] } else { vec![500, 1000, 2000, 4000] };
-    let mut t = Table::new(&["sweep", "n", "k", "algorithm", "accuracy"]);
-    let mut rows = Vec::new();
-    for (sweep, k_of_n) in [
-        ("fixed degree (k=10)", Box::new(|_n: usize| 10usize) as Box<dyn Fn(usize) -> usize>),
-        ("fixed density (k=n/10)", Box::new(|n: usize| (n / 10).max(2))),
-    ] {
-        for &n in &sizes {
-            let k = k_of_n(n).min(n - 1);
-            let base = graphalign_gen::newman_watts(n, k, 0.5, cfg.seed ^ (n * 31 + k) as u64);
-            for algo in Algo::ALL {
-                let cell =
-                    run_cell(algo, &base, true, &noise, AssignmentMethod::JonkerVolgenant, &policy);
-                t.row(&[
-                    sweep.into(),
-                    n.to_string(),
-                    k.to_string(),
-                    cell.algorithm.clone(),
-                    match cell.accuracy {
-                        Some(a) if !cell.skipped => pct(a),
-                        _ => "-".into(),
-                    },
-                ]);
-                rows.push(Row {
-                    sweep: sweep.into(),
-                    n,
-                    k,
-                    algorithm: cell.algorithm,
-                    accuracy: cell.accuracy,
-                    wall_clock: cell.wall_clock,
-                    threads: cell.threads,
-                    skipped: cell.skipped,
-                    reps_ok: cell.reps_ok,
-                    error_class: cell.error_class,
-                });
-            }
-        }
-    }
-    t.print();
-    for sweep in ["fixed degree (k=10)", "fixed density (k=n/10)"] {
-        let chart_rows: Vec<(String, f64, f64)> = rows
+    let sweep = |name: &'static str, k_of_n: fn(usize) -> usize| NwSweep {
+        label: name,
+        key: name,
+        chart_x: NwParam::N,
+        graphs: sizes
             .iter()
-            .filter(|r| r.sweep == sweep && !r.skipped && r.reps_ok > 0)
-            .map(|r| (r.algorithm.clone(), r.n as f64, r.accuracy.unwrap_or(0.0)))
-            .collect();
-        if chart_rows.is_empty() {
-            continue;
-        }
-        let series = graphalign_bench::plot::series_from_rows(&chart_rows);
-        println!();
-        print!(
-            "{}",
-            graphalign_bench::plot::line_chart(
-                &format!("accuracy vs n — {sweep}"),
-                &series,
-                60,
-                12,
-            )
-        );
-    }
-    cfg.write_json(&rows);
+            .map(|&n| {
+                let k = k_of_n(n).min(n - 1);
+                NwGraph { n, k, p: 0.5, seed: cfg.seed ^ (n * 31 + k) as u64 }
+            })
+            .collect(),
+    };
+    let sweeps = [
+        sweep("fixed degree (k=10)", |_| 10),
+        sweep("fixed density (k=n/10)", |n| (n / 10).max(2)),
+    ];
+    nw_accuracy_sweep(&cfg, NwParam::N, &sweeps, |sweep| format!("accuracy vs n — {sweep}"));
 }

@@ -1,14 +1,16 @@
-//! Perf baseline harness for the hot numerical kernels (PR 4 tentpole).
+//! Perf baseline harness for the hot numerical kernels.
 //!
 //! Times the cache-blocked GEMM, the fused dense·CSRᵀ SpMM, Sinkhorn
 //! scaling sweeps, graphlet counting, and a fig11-scale IsoRank iteration
 //! loop — each against a *naive reference implementation* reproducing the
 //! pre-optimization formulation (plain ikj GEMM with the zero-skip branch,
 //! transpose-per-iteration SpMM), so the emitted numbers are honest
-//! before/after pairs on the same machine. The `eigen` group (dense
-//! eigensolver, Lanczos, thin SVD) is mostly roofline entries that the
-//! GRASP and CONE similarity layers point back to; its one pair is GRASP's
-//! per-step projection, `polar` against the SVD route it replaced.
+//! before/after pairs on the same machine. The optimized IsoRank row runs
+//! the production iteration, `graphalign::isorank::IsoRankStep`, rather
+//! than a copy of it. The `eigen` group (dense eigensolver, Lanczos, thin
+//! SVD) is mostly roofline entries that the GRASP and CONE similarity
+//! layers point back to; its one pair is GRASP's per-step projection,
+//! `polar` against the SVD route it replaced.
 //!
 //! ```text
 //! kernel_bench [--quick] [--threads N] [--seed S] [--out PATH]
@@ -38,6 +40,7 @@
 //! `(kernel, size, threads)` rows in full mode, kernel names in quick mode —
 //! a kernel that silently stops being benchmarked cannot hide a regression.
 
+use graphalign::isorank::IsoRankStep;
 use graphalign_graph::spectral;
 use graphalign_json::Json;
 use graphalign_linalg::eigen::symmetric_eigen;
@@ -358,10 +361,10 @@ fn bench_graphlets(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
 /// The IsoRank inner loop at fig11 scale, old shape vs new shape, on
 /// identical inputs. The two variants must produce bit-identical similarity
 /// matrices — verified on every run — so the timing difference is purely the
-/// kernel work. The fused variant mirrors the production `IsoRank` path
-/// exactly: hoisted CSR transpose, reused buffers, and the form-selecting
-/// right-SpMM (`mul_csr_tr_into_auto`) whose size cutoff fixes the small-n
-/// regression.
+/// kernel work. The fused variant is the production iteration itself,
+/// [`IsoRankStep`]: hoisted CSR transpose, reused buffers, and the
+/// form-selecting right-SpMM (`mul_csr_tr_into_auto`) whose size cutoff
+/// fixes the small-n regression.
 fn bench_isorank_loop(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
     let sizes: &[usize] = if cfg.quick { &[256] } else { &[256, 1024] };
     const ITERS: usize = 10;
@@ -393,20 +396,11 @@ fn bench_isorank_loop(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
             *out = r;
         };
         let fused = |out: &mut DenseMatrix| {
-            let pbt = pb.transpose();
+            let mut step = IsoRankStep::new(&pa, &pb, &e, ALPHA);
             let mut r = e.clone();
-            let mut left = DenseMatrix::zeros(n, n);
             let mut next = DenseMatrix::zeros(n, n);
-            let mut ws = Workspace::new();
             for _ in 0..ITERS {
-                pa.mul_dense_into(&r, &mut left);
-                left.mul_csr_tr_into_auto(&pbt, &mut next, &mut ws);
-                next.scale_inplace(ALPHA);
-                next.add_scaled(1.0 - ALPHA, &e);
-                let total = next.sum();
-                if total > 0.0 {
-                    next.scale_inplace(1.0 / total);
-                }
+                step.apply(&r, &mut next);
                 std::mem::swap(&mut r, &mut next);
             }
             *out = r;

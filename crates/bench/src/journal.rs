@@ -88,7 +88,7 @@ impl Journal {
     ///
     /// # Errors
     /// Propagates file-creation failures.
-    pub fn fresh(out: &Path, _seed: u64) -> std::io::Result<Self> {
+    pub fn fresh(out: &Path) -> std::io::Result<Self> {
         let path = Self::path_for(out);
         let file = File::create(&path)?;
         Ok(Self { path, file, completed: HashMap::new() })
@@ -225,7 +225,7 @@ mod tests {
         let row = sample_row("ER", 0.05);
         let key = CellKey::new("ER", "IsoRank", "JV", "One-Way", 0.05, 7, 3);
         {
-            let mut j = Journal::fresh(&out, 7).unwrap();
+            let mut j = Journal::fresh(&out).unwrap();
             j.record(key.clone(), &row).unwrap();
         }
         let j = Journal::resume(&out, 7).unwrap();
@@ -245,7 +245,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("sweep.json");
         {
-            let mut j = Journal::fresh(&out, 1).unwrap();
+            let mut j = Journal::fresh(&out).unwrap();
             j.record(
                 CellKey::new("ER", "IsoRank", "JV", "One-Way", 0.0, 1, 3),
                 &sample_row("ER", 0.0),
@@ -262,7 +262,7 @@ mod tests {
         assert!(Journal::resume(&out, 2).unwrap().is_empty());
         assert_eq!(Journal::resume(&out, 1).unwrap().len(), 1);
         // Fresh truncates.
-        assert!(Journal::fresh(&out, 1).unwrap().is_empty());
+        assert!(Journal::fresh(&out).unwrap().is_empty());
         assert!(Journal::resume(&out, 1).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -65,6 +65,53 @@ impl IsoRank {
     }
 }
 
+/// One IsoRank iteration, `R ↦ α·M(R) + (1 − α)·E` scaled to unit mass, as
+/// an operator holding what every iteration reuses: `P_A = A·D_A⁻¹`, the
+/// transpose of `D_B⁻¹·B` (hoisted out of the loop), the prior `E`, `α` and
+/// the scratch buffers. [`IsoRank::similarity`] runs it to convergence;
+/// `kernel_bench` times it against a naive twin.
+pub struct IsoRankStep<'a> {
+    pa: &'a CsrMatrix,
+    pbt: CsrMatrix,
+    e: &'a DenseMatrix,
+    alpha: f64,
+    left: DenseMatrix,
+    ws: Workspace,
+}
+
+impl<'a> IsoRankStep<'a> {
+    /// The operator over `pa = A·D_A⁻¹`, `pb = D_B⁻¹·B` and the prior `e`
+    /// (`|V_A| × |V_B|`), blending with weight `alpha`.
+    pub fn new(pa: &'a CsrMatrix, pb: &CsrMatrix, e: &'a DenseMatrix, alpha: f64) -> Self {
+        let (rows, cols) = e.shape();
+        Self {
+            pa,
+            pbt: pb.transpose(),
+            e,
+            alpha,
+            left: DenseMatrix::zeros(rows, cols),
+            ws: Workspace::new(),
+        }
+    }
+
+    /// Writes the iterate after `r` into `next` (both shaped like the
+    /// prior). The right product gathers over the hoisted transpose at large
+    /// n and takes the row-axpy form below the measured crossover; the two
+    /// are bit-identical, so the cutoff never shows in the similarity.
+    pub fn apply(&mut self, r: &DenseMatrix, next: &mut DenseMatrix) {
+        self.pa.mul_dense_into(r, &mut self.left);
+        self.left.mul_csr_tr_into_auto(&self.pbt, next, &mut self.ws);
+        next.scale_inplace(self.alpha);
+        next.add_scaled(1.0 - self.alpha, self.e);
+        // Normalize total mass to 1 for numerical stability (scaling does
+        // not affect the assignment step).
+        let total = next.sum();
+        if total > 0.0 {
+            next.scale_inplace(1.0 / total);
+        }
+    }
+}
+
 impl Aligner for IsoRank {
     fn name(&self) -> &'static str {
         "IsoRank"
@@ -79,39 +126,18 @@ impl Aligner for IsoRank {
         // Column-normalized adjacencies: A·D_A⁻¹ = (D_A⁻¹·A)ᵀ.
         let pa: CsrMatrix = spectral::row_normalized_adjacency(source).transpose();
         let pb: CsrMatrix = spectral::row_normalized_adjacency(target);
-        // (D_B⁻¹B)ᵀ, transposed once here instead of once per iteration. The
-        // right-multiplication below picks its formulation by size: gather
-        // over this hoisted transpose at large n, the row-axpy form (which
-        // pays two L2-resident dense transposes per iteration but streams
-        // SIMD axpys) below the measured crossover — bit-identical either
-        // way, so the cutoff never shows in the similarity.
-        let pbt = pb.transpose();
         let e = self.prior_matrix(source, target);
+        let mut step = IsoRankStep::new(&pa, &pb, &e, self.alpha);
         let mut r = e.clone();
         let (rows, cols) = e.shape();
-        let mut left = DenseMatrix::zeros(rows, cols);
         let mut next = DenseMatrix::zeros(rows, cols);
-        let mut ws = Workspace::new();
         let mut iterations = 0;
         let mut last_delta = 0.0;
         let mut hit_tol = false;
         for it in 0..self.max_iter {
             crate::check_budget("isorank", it)?;
             iterations = it + 1;
-            // R_next = α · P_Aᵀ-side · R · P_B-side + (1 − α) E
-            // pa is already A·D_A⁻¹; multiply left; then right by D_B⁻¹·B,
-            // i.e. R · pbtᵀ, via the form-selecting dense·CSRᵀ kernel. Both
-            // products land in buffers reused across iterations.
-            pa.mul_dense_into(&r, &mut left);
-            left.mul_csr_tr_into_auto(&pbt, &mut next, &mut ws);
-            next.scale_inplace(self.alpha);
-            next.add_scaled(1.0 - self.alpha, &e);
-            // Normalize total mass to 1 for numerical stability (scaling does
-            // not affect the assignment step).
-            let total = next.sum();
-            if total > 0.0 {
-                next.scale_inplace(1.0 / total);
-            }
+            step.apply(&r, &mut next);
             let delta = {
                 let (a, b) = (next.as_slice(), r.as_slice());
                 graphalign_par::sum_indexed(a.len(), 1, |i| (a[i] - b[i]).abs())

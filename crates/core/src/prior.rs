@@ -6,7 +6,8 @@
 //! degrees": `sim(u, v) = 1 − |deg(u) − deg(v)| / max(deg(u), deg(v))`.
 //! The paper credits this choice for making IsoRank "among the most
 //! competitive algorithms, as opposed to previous comparisons". NSD uses
-//! the same prior; the `isorank_prior` ablation bench quantifies its effect.
+//! the same prior; `isorank::tests::degree_prior_beats_uniform_on_noisy_graphs`
+//! checks its effect on IsoRank.
 
 use graphalign_graph::Graph;
 use graphalign_linalg::DenseMatrix;
@@ -39,7 +40,7 @@ pub fn degree_prior(source: &Graph, target: &Graph) -> DenseMatrix {
 }
 
 /// A uniform prior of the same shape (what IsoRank degrades to when no
-/// side information exists) — the baseline of the `isorank_prior` ablation.
+/// side information exists) — the baseline of the IsoRank prior ablation.
 pub fn uniform_prior(source: &Graph, target: &Graph) -> DenseMatrix {
     let n = source.node_count();
     let m = target.node_count();

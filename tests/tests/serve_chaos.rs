@@ -385,6 +385,75 @@ fn slow_loris_connections_get_408_and_release_their_thread() {
     stop(server);
 }
 
+/// Sends `bytes` on a fresh connection and returns everything the server
+/// answers before closing.
+fn raw_exchange(addr: &str, bytes: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.write_all(bytes).expect("send");
+    stream.flush().expect("flush");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("client deadline");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("server must answer, not hang");
+    response
+}
+
+/// After a refused request: `/healthz` reads `ready` and the warm query
+/// still returns `cold`'s mapping, bit for bit at 1 and 8 threads.
+fn assert_still_serving(addr: &str, src: &str, tgt: &str, cold: &Json) {
+    let healthz = http::request(addr, "GET", "/healthz", b"").expect("server still up");
+    assert_eq!(healthz.status, 200, "{}", healthz.body);
+    assert_eq!(str_field(&healthz.json(), "status"), "ready");
+    assert_eq!(&clean_job_bit_identical(addr, src, tgt, "REGAL"), cold);
+}
+
+#[test]
+fn overlong_request_line_gets_414_at_the_cap_not_at_the_deadline() {
+    let _guard = lock();
+    let server =
+        start(ServeConfig { io_timeout: Some(Duration::from_secs(2)), ..ServeConfig::default() })
+            .expect("start");
+    let addr = server.addr().to_string();
+    let (source, target) = test_pair();
+    let (src, tgt) = (upload(&addr, &source), upload(&addr, &target));
+    let cold = clean_job_bit_identical(&addr, &src, &tgt, "REGAL");
+
+    // One byte over the cap and no newline. The server has read every byte
+    // it was sent when it answers, so closing its socket does not reset the
+    // reply.
+    let started = std::time::Instant::now();
+    let response = raw_exchange(&addr, &vec![b'G'; http::MAX_LINE_BYTES + 1]);
+    assert!(response.starts_with("HTTP/1.1 414 URI Too Long"), "got: {response:?}");
+    assert!(started.elapsed() < Duration::from_secs(1), "answered at the cap, not the deadline");
+    assert_still_serving(&addr, &src, &tgt, &cold);
+    stop(server);
+}
+
+#[test]
+fn header_flood_gets_431() {
+    let _guard = lock();
+    let server =
+        start(ServeConfig { io_timeout: Some(Duration::from_secs(2)), ..ServeConfig::default() })
+            .expect("start");
+    let addr = server.addr().to_string();
+    let (source, target) = test_pair();
+    let (src, tgt) = (upload(&addr, &source), upload(&addr, &target));
+    let cold = clean_job_bit_identical(&addr, &src, &tgt, "REGAL");
+
+    // One header line more than the cap, and nothing after it.
+    let mut flood = b"GET /healthz HTTP/1.1\r\n".to_vec();
+    for i in 0..=http::MAX_HEADERS {
+        flood.extend_from_slice(format!("X-Flood-{i}: 1\r\n").as_bytes());
+    }
+    let response = raw_exchange(&addr, &flood);
+    assert!(
+        response.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
+        "got: {response:?}"
+    );
+    assert_still_serving(&addr, &src, &tgt, &cold);
+    stop(server);
+}
+
 /// Satellite property test: *any* truncation or single-bit flip of a
 /// persisted `similarity/v1` entry must be quarantined and recomputed —
 /// bit-identical mapping, never an error response. Exhaustive prefix
