@@ -22,7 +22,6 @@ fn run_xl(cfg: &Config) {
     );
     let mut session = SweepSession::new(cfg);
     let slice = if cfg.quick { xl::XL_EVAL_SLICE_QUICK } else { xl::XL_EVAL_SLICE };
-    let dir = xl::stream_dir();
     let mut t =
         Table::new(&["algorithm", "n", "time(similarity)", "acc@slice", "repr", "sim", "rss"]);
     let mut rows: Vec<SweepRow> = Vec::new();
@@ -37,11 +36,7 @@ fn run_xl(cfg: &Config) {
             let mut ran = None;
             let row = session.journaled_cell(key, |_| {
                 let inst = inst.get_or_insert_with(|| {
-                    std::fs::create_dir_all(&dir).unwrap_or_else(|e| {
-                        eprintln!("error: create {}: {e}", dir.display());
-                        std::process::exit(1);
-                    });
-                    xl::instance(&dir, n, cfg.seed).unwrap_or_else(|e| {
+                    xl::instance(n, cfg.seed).unwrap_or_else(|e| {
                         eprintln!("error: streamed instance at n={n}: {e}");
                         std::process::exit(1);
                     })

@@ -20,7 +20,7 @@
 //! Full mode (the committed-baseline mode) sweeps the whole suite at
 //! `threads = 1, 2, 8` so the baseline doubles as a roofline table for the
 //! tiled kernels; `--threads` selects the single thread count of a `--quick`
-//! run (the CI smoke configuration runs quick at 1 and at 8).
+//! run (the CI smoke configuration runs quick at 1).
 //!
 //! Without `--compare`, writes a JSON report (default `BENCH_kernels.json`):
 //! `{"schema":"kernel_bench/v1","threads":…,"mode":…,"rows":[{kernel, size,

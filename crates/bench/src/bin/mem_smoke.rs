@@ -35,9 +35,7 @@ fn run_xl(cfg: &Config) {
     let n = if cfg.quick { 1 << 15 } else { 1 << 20 };
     let budget = xl::budget_bytes(n);
     let slice = if cfg.quick { xl::XL_EVAL_SLICE_QUICK } else { xl::XL_EVAL_SLICE };
-    let dir = xl::stream_dir();
-    std::fs::create_dir_all(&dir).expect("create stream dir");
-    let inst = xl::instance(&dir, n, cfg.seed).expect("streamed XL instance");
+    let inst = xl::instance(n, cfg.seed).expect("streamed XL instance");
     println!(
         "n={n}, budget {} (a dense n×n would be {})",
         fmt_bytes(budget),

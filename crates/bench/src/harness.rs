@@ -66,6 +66,19 @@ impl std::fmt::Display for CellError {
     }
 }
 
+/// The one mapping of alignment errors onto the failure taxonomy, shared by
+/// the experiment harness and the serving layer so sweep result JSON and
+/// serve responses agree on classes.
+impl From<&AlignError> for CellError {
+    fn from(e: &AlignError) -> Self {
+        match e {
+            AlignError::Interrupted { .. } => CellError::Timeout,
+            AlignError::BadInstance(_) => CellError::Infeasible,
+            AlignError::Numerical(_) => CellError::Numeric,
+        }
+    }
+}
+
 /// One classified repetition failure.
 #[derive(Debug, Clone)]
 pub struct RepFailure {
@@ -77,12 +90,7 @@ pub struct RepFailure {
 
 impl RepFailure {
     pub(crate) fn from_align_error(algo: &str, context: &str, e: &AlignError) -> Self {
-        let class = match e {
-            AlignError::Interrupted { .. } => CellError::Timeout,
-            AlignError::BadInstance(_) => CellError::Infeasible,
-            AlignError::Numerical(_) => CellError::Numeric,
-        };
-        Self { class, message: format!("{algo}{context}: {e}") }
+        Self { class: e.into(), message: format!("{algo}{context}: {e}") }
     }
 }
 
@@ -171,7 +179,7 @@ pub struct CellResult {
     /// the summed per-repetition alignment time averaged over `reps_ok`.
     pub wall_clock: f64,
     /// Worker-thread cap the cell ran under (`--threads` /
-    /// `GRAPHALIGN_THREADS` / core count; 1 in sequential builds).
+    /// `GRAPHALIGN_THREADS` / core count).
     pub threads: usize,
     /// Aggregated solver telemetry of the successful repetitions; `None`
     /// for skipped cells and cells where no repetition succeeded.

@@ -10,9 +10,9 @@
 //! * `--seed <u64>` — base RNG seed;
 //! * `--out <path>` — additionally write the result rows as JSON;
 //! * `--threads <n>` — worker-thread cap for the parallel kernels (default:
-//!   `GRAPHALIGN_THREADS`/`RAYON_NUM_THREADS`, then the machine's core
-//!   count). Results are bit-identical for every thread count; only the
-//!   wall-clock columns change.
+//!   `GRAPHALIGN_THREADS`, then the machine's core count). Results are
+//!   bit-identical for every thread count; only the wall-clock columns
+//!   change.
 //!
 //! The library half provides the pieces the binaries share: the algorithm
 //! roster with per-algorithm feasibility caps ([`suite`]), the measurement

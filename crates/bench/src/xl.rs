@@ -25,7 +25,8 @@ use graphalign::Aligner;
 use graphalign_datasets::stream::{self, XlInstance};
 use graphalign_linalg::sinkhorn::SinkhornParams;
 use graphalign_linalg::Similarity;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Average degree of the XL benchmark graphs (the paper's scalability
 /// figures use sparse graphs; d ≈ 10 keeps 10⁶ nodes at ~5·10⁶ edges).
@@ -139,18 +140,36 @@ pub fn budget_bytes(n: usize) -> usize {
     64 * 8 * XL_AVG_DEGREE as usize * n
 }
 
-/// Directory for the streamed XL edge files (under the system temp dir,
-/// keyed by pid so concurrent runs do not collide).
-pub fn stream_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("graphalign_xl_{}", std::process::id()))
+/// A directory for streamed XL edge files under the system temp dir,
+/// `graphalign_xl_<pid>_<k>` (keyed by pid and a per-process counter so no
+/// two builds collide). Dropping it removes the directory and every stream
+/// in it.
+struct StreamDir(PathBuf);
+
+impl StreamDir {
+    fn new() -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let k = NEXT.fetch_add(1, Ordering::Relaxed);
+        Self(std::env::temp_dir().join(format!("graphalign_xl_{}_{k}", std::process::id())))
+    }
 }
 
-/// Builds the deterministic streamed XL instance at `n` nodes.
+impl Drop for StreamDir {
+    fn drop(&mut self) {
+        // Best effort: a directory that was never created is already gone.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Builds the deterministic streamed XL instance at `n` nodes. The edge
+/// stream lives in a [`StreamDir`] that is removed as soon as both CSR
+/// graphs are built, on success and on error alike.
 ///
 /// # Errors
 /// Propagates stream I/O errors.
-pub fn instance(dir: &Path, n: usize, seed: u64) -> std::io::Result<XlInstance> {
-    stream::xl_instance(dir, n, XL_AVG_DEGREE, seed)
+pub fn instance(n: usize, seed: u64) -> std::io::Result<XlInstance> {
+    let dir = StreamDir::new();
+    stream::xl_instance(&dir.0, n, XL_AVG_DEGREE, seed)
 }
 
 /// Result of the sliced nearest-neighbor quality probe.
@@ -306,6 +325,28 @@ mod tests {
             let model = a.model_bytes(n, m);
             assert!(model < budget / 2, "{} model {model} vs budget {budget}", a.name());
         }
+    }
+
+    #[test]
+    fn stream_dirs_are_removed_on_drop() {
+        let dir = StreamDir::new();
+        let path = dir.0.clone();
+        std::fs::create_dir_all(&path).unwrap();
+        std::fs::write(path.join("edges"), b"stream").unwrap();
+        drop(dir);
+        assert!(!path.exists(), "{} left behind", path.display());
+        // An instance build streams into a directory of its own and
+        // removes it before returning.
+        let inst = instance(64, 1).unwrap();
+        assert_eq!(inst.ground_truth.len(), 64);
+        let prefix = format!("graphalign_xl_{}_", std::process::id());
+        let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+            .map(|e| e.path())
+            .collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
     }
 
     #[test]

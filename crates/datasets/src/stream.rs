@@ -100,9 +100,12 @@ impl EdgeStream {
     /// buffer regardless of stream length.
     ///
     /// # Errors
-    /// Propagates read errors; a trailing partial record is an
-    /// `InvalidData` error.
-    pub fn for_each_chunk(&self, mut f: impl FnMut(&[(u32, u32)])) -> io::Result<()> {
+    /// Propagates read errors and stops at the first error `f` returns; a
+    /// trailing partial record is an `InvalidData` error.
+    pub fn for_each_chunk(
+        &self,
+        mut f: impl FnMut(&[(u32, u32)]) -> io::Result<()>,
+    ) -> io::Result<()> {
         let mut reader = BufReader::new(File::open(&self.path)?);
         let mut raw = vec![0u8; CHUNK_EDGES * 8];
         let mut decoded: Vec<(u32, u32)> = Vec::with_capacity(CHUNK_EDGES);
@@ -129,7 +132,7 @@ impl EdgeStream {
                 let v = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"));
                 decoded.push((u, v));
             }
-            f(&decoded);
+            f(&decoded)?;
             raw.copy_within(whole..filled, 0);
             filled -= whole;
         }
@@ -142,24 +145,36 @@ impl EdgeStream {
     /// final CSR arrays is one chunk buffer plus the `n+1` cursor array.
     ///
     /// # Errors
-    /// Propagates stream read errors.
+    /// Propagates stream read errors; an id outside `0..nodes` in the file is
+    /// an `InvalidData` error.
     ///
     /// # Panics
     /// Panics when `map` produces an out-of-bounds id.
     pub fn build_graph_with(&self, map: impl Fn(usize) -> usize) -> io::Result<Graph> {
         let n = self.nodes;
+        // The file's ids are untrusted input; `map`'s output is program logic.
+        let relabel = |u: u32, v: u32| -> io::Result<(usize, usize)> {
+            let (u, v) = (u as usize, v as usize);
+            if u >= n || v >= n {
+                let msg = format!("edge ({u},{v}) out of range for n={n}");
+                return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+            }
+            let (u, v) = (map(u), map(v));
+            assert!(u < n && v < n, "mapped edge ({u},{v}) out of bounds for n={n}");
+            Ok((u, v))
+        };
         // Pass 1: degree counts (self-loops dropped, duplicates still
         // counted — they are removed after the scatter).
         let mut offsets = vec![0usize; n + 1];
         self.for_each_chunk(|chunk| {
             for &(u, v) in chunk {
-                let (u, v) = (map(u as usize), map(v as usize));
-                assert!(u < n && v < n, "mapped edge ({u},{v}) out of bounds for n={n}");
+                let (u, v) = relabel(u, v)?;
                 if u != v {
                     offsets[u + 1] += 1;
                     offsets[v + 1] += 1;
                 }
             }
+            Ok(())
         })?;
         for i in 0..n {
             offsets[i + 1] += offsets[i];
@@ -169,7 +184,7 @@ impl EdgeStream {
         let mut cursor = offsets.clone();
         self.for_each_chunk(|chunk| {
             for &(u, v) in chunk {
-                let (u, v) = (map(u as usize), map(v as usize));
+                let (u, v) = relabel(u, v)?;
                 if u != v {
                     neighbors[cursor[u]] = v;
                     cursor[u] += 1;
@@ -177,6 +192,7 @@ impl EdgeStream {
                     cursor[v] += 1;
                 }
             }
+            Ok(())
         })?;
         drop(cursor);
         // Sort + dedup each list in place, compacting forward.
@@ -308,7 +324,12 @@ mod tests {
         }
         let stream = w.finish().unwrap();
         let mut seen = Vec::new();
-        stream.for_each_chunk(|chunk| seen.extend_from_slice(chunk)).unwrap();
+        stream
+            .for_each_chunk(|chunk| {
+                seen.extend_from_slice(chunk);
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(seen, vec![(0, 1), (1, 2), (2, 3)]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -319,9 +340,55 @@ mod tests {
         let path = dir.join("torn.edges");
         std::fs::write(&path, [1u8, 0, 0, 0, 2, 0]).unwrap();
         let stream = EdgeStream { path: path.clone(), nodes: 10, edges: 1 };
-        let err = stream.for_each_chunk(|_| {}).unwrap_err();
+        let err = stream.for_each_chunk(|_| Ok(())).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bytes of a stream holding the given `(u, v)` records.
+    fn records(edges: &[(u32, u32)]) -> Vec<u8> {
+        edges.iter().flat_map(|&(u, v)| [u.to_le_bytes(), v.to_le_bytes()]).flatten().collect()
+    }
+
+    #[test]
+    fn out_of_range_id_is_invalid_data() {
+        let dir = tmp_dir("range");
+        let path = dir.join("three.edges");
+        let mut w = EdgeStreamWriter::create(&path, 3).unwrap();
+        w.push(0, 1).unwrap();
+        let stream = w.finish().unwrap();
+        std::fs::write(&path, records(&[(0, 2), (7, 1)])).unwrap();
+        let perm = Permutation::random(3, 1);
+        for built in [stream.build_graph(), stream.build_graph_with(|v| perm.apply(v))] {
+            assert_eq!(built.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any file decodes to a graph on `nodes` nodes or fails with
+        /// `InvalidData`; it never panics.
+        #[test]
+        fn arbitrary_files_decode_or_are_invalid_data(
+            bytes in proptest::collection::vec(0u8..=255, 0..96),
+            small_ids in proptest::collection::vec((0u32..6, 0u32..6), 0..12),
+            nodes in 1usize..6,
+        ) {
+            let dir = tmp_dir("prop");
+            let path = dir.join("case.edges");
+            let stream = EdgeStream { path: path.clone(), nodes, edges: 0 };
+            // Arbitrary bytes are mostly out of range; small ids mostly are not.
+            for file in [bytes.clone(), records(&small_ids)] {
+                std::fs::write(&path, &file).unwrap();
+                match stream.build_graph() {
+                    Ok(g) => assert_eq!(g.node_count(), nodes),
+                    Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! embedding matrices (rows = nodes), and for the small square systems inside
 //! the eigen/SVD/QR routines. Hot products are parallelized over row blocks
 //! through [`graphalign_par`] (matching the paper's many-core testbed); the
-//! chunking is deterministic, so results are identical for any thread count
-//! and for the sequential `--no-default-features` build.
+//! chunking is deterministic, so results are identical for any thread count,
+//! one (inline on the caller) included.
 
 use crate::simd;
 use crate::vec_ops;
@@ -408,7 +408,7 @@ impl DenseMatrix {
     pub fn mul_vec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "mul_vec: x length mismatch");
         assert_eq!(out.len(), self.rows, "mul_vec: out length mismatch");
-        par::for_each_chunk_mut(out, self.cols, |_, range, chunk| {
+        par::for_each_row_block_mut(out, 1, self.cols, |range, chunk| {
             for (off, o) in chunk.iter_mut().enumerate() {
                 *o = vec_ops::dot(self.row(range.start + off), x);
             }
@@ -521,7 +521,7 @@ impl DenseMatrix {
 
     /// Applies `f` to every entry in place.
     pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64 + Sync) {
-        par::for_each_chunk_mut(&mut self.data, 1, |_, _, chunk| {
+        par::for_each_row_block_mut(&mut self.data, 1, 1, |_, chunk| {
             for v in chunk {
                 *v = f(*v);
             }

@@ -41,7 +41,7 @@ fn orthogonalize_against(basis: &[f64], w: &mut [f64]) {
         let w_ro: &[f64] = w;
         par::map_collect(count, n, |i| vec_ops::dot(w_ro, &basis[i * n..(i + 1) * n]))
     };
-    par::for_each_chunk_mut(w, count, |_, range, chunk| {
+    par::for_each_row_block_mut(w, 1, count, |range, chunk| {
         for (b, &proj) in basis.chunks_exact(n).zip(&projs) {
             vec_ops::axpy(-proj, &b[range.clone()], chunk);
         }

@@ -108,7 +108,7 @@ pub fn thin_qr(a: &DenseMatrix) -> ThinQr {
 /// on how the columns are split.
 fn reflector_dots(v: &[f64], a: &DenseMatrix, row0: usize, col0: usize) -> Vec<f64> {
     let mut dots = vec![0.0; a.cols() - col0];
-    par::for_each_chunk_mut(&mut dots, v.len(), |_, cols, chunk| {
+    par::for_each_row_block_mut(&mut dots, 1, v.len(), |cols, chunk| {
         for (t, &vi) in v.iter().enumerate() {
             let row = &a.row(row0 + t)[col0 + cols.start..col0 + cols.end];
             for (d, &x) in chunk.iter_mut().zip(row) {

@@ -61,13 +61,28 @@ pub fn to_checksummed_string(sim: &Similarity) -> Result<String, String> {
 }
 
 /// Deserializes an entry written by [`to_checksummed_string`], verifying the
-/// declared payload length and checksum before parsing the payload.
+/// envelope ([`checked_payload`]) before decoding the payload against the
+/// expected `(rows, cols)` shape ([`similarity_from_json`]).
 ///
 /// # Errors
 /// Returns a human-readable message on a missing or malformed header, a
 /// truncated payload, a checksum mismatch, or any payload-level decode
 /// failure — callers quarantine such entries instead of serving them.
-pub fn from_checksummed_str(text: &str) -> Result<Similarity, String> {
+pub fn from_checksummed_str(text: &str, shape: (usize, usize)) -> Result<Similarity, String> {
+    let payload = checked_payload(text)?;
+    let json =
+        graphalign_json::from_str(payload).map_err(|e| format!("corrupt entry payload: {e:?}"))?;
+    similarity_from_json(&json, shape)
+}
+
+/// Verifies the envelope of an entry written by [`to_checksummed_string`]
+/// — header, declared payload length and checksum — and returns the payload
+/// without parsing it. This is what catches torn writes and bit flips.
+///
+/// # Errors
+/// Returns a human-readable message on a missing or malformed header, a
+/// truncated payload or a checksum mismatch.
+pub fn checked_payload(text: &str) -> Result<&str, String> {
     let (header_line, rest) =
         text.split_once('\n').ok_or("truncated entry: no payload line after the header")?;
     let header = graphalign_json::from_str(header_line)
@@ -93,9 +108,7 @@ pub fn from_checksummed_str(text: &str) -> Result<Similarity, String> {
     if actual != checksum {
         return Err(format!("checksum mismatch: header {checksum:?}, payload {actual:?}"));
     }
-    let json =
-        graphalign_json::from_str(payload).map_err(|e| format!("corrupt entry payload: {e:?}"))?;
-    similarity_from_json(&json)
+    Ok(payload)
 }
 
 fn num_array(values: impl Iterator<Item = f64>) -> Json {
@@ -114,7 +127,7 @@ fn dense_from_json(v: &Json) -> Result<DenseMatrix, String> {
     let rows = field_usize(v, "rows")?;
     let cols = field_usize(v, "cols")?;
     let data = field_f64_vec(v, "data")?;
-    if data.len() != rows * cols {
+    if rows.checked_mul(cols) != Some(data.len()) {
         return Err(format!("dense data length {} != {rows}x{cols}", data.len()));
     }
     Ok(DenseMatrix::from_vec(rows, cols, data))
@@ -202,24 +215,40 @@ pub fn similarity_to_json(sim: &Similarity) -> Result<Json, String> {
     Ok(Json::Obj(members))
 }
 
-/// Deserializes a similarity previously written by [`similarity_to_json`].
+/// Deserializes a similarity previously written by [`similarity_to_json`],
+/// which must have the expected `(rows, cols)` shape. A declared shape is
+/// checked before anything is allocated by it, so a hostile header cannot
+/// size an allocation; every other allocation is bounded by the parsed
+/// payload.
 ///
 /// # Errors
 /// Returns an error on unknown format versions, unknown representations or
 /// kernels, and any shape/type mismatch.
-pub fn similarity_from_json(v: &Json) -> Result<Similarity, String> {
+pub fn similarity_from_json(v: &Json, shape: (usize, usize)) -> Result<Similarity, String> {
     let format = field(v, "format")?.as_str().ok_or("format not a string")?;
     if format != FORMAT {
         return Err(format!("unsupported similarity format {format:?} (expected {FORMAT:?})"));
     }
-    match field(v, "repr")?.as_str().ok_or("repr not a string")? {
-        "dense" => Ok(Similarity::Dense(dense_from_json(field(v, "matrix")?)?)),
+    let check_shape = |declared: (usize, usize)| {
+        if declared == shape {
+            Ok(())
+        } else {
+            Err(format!("similarity is {declared:?}, expected {shape:?}"))
+        }
+    };
+    let sim = match field(v, "repr")?.as_str().ok_or("repr not a string")? {
+        "dense" => {
+            let matrix = dense_from_json(field(v, "matrix")?)?;
+            check_shape(matrix.shape())?;
+            Similarity::Dense(matrix)
+        }
         "lowrank" => {
             let kernel_name = field(v, "kernel")?.as_str().ok_or("kernel not a string")?;
             let kernel = kernel_from_str(kernel_name)
                 .ok_or_else(|| format!("unknown kernel {kernel_name:?}"))?;
             let ya = dense_from_json(field(v, "ya")?)?;
             let yb = dense_from_json(field(v, "yb")?)?;
+            check_shape((ya.rows(), yb.rows()))?;
             if ya.cols() != yb.cols() {
                 return Err(format!("factor ranks differ: {} vs {}", ya.cols(), yb.cols()));
             }
@@ -235,11 +264,11 @@ pub fn similarity_from_json(v: &Json) -> Result<Similarity, String> {
                 }
                 lr = lr.with_row_offsets(offsets);
             }
-            Ok(Similarity::LowRank(lr))
+            Similarity::LowRank(lr)
         }
         "sparse" => {
-            let rows = field_usize(v, "rows")?;
-            let cols = field_usize(v, "cols")?;
+            let (rows, cols) = (field_usize(v, "rows")?, field_usize(v, "cols")?);
+            check_shape((rows, cols))?;
             let ridx = field_usize_vec(v, "row_indices")?;
             let cidx = field_usize_vec(v, "col_indices")?;
             let vals = field_f64_vec(v, "values")?;
@@ -254,10 +283,11 @@ pub fn similarity_from_json(v: &Json) -> Result<Similarity, String> {
             }
             let triplets: Vec<(usize, usize, f64)> =
                 ridx.into_iter().zip(cidx).zip(vals).map(|((i, j), val)| (i, j, val)).collect();
-            Ok(Similarity::Sparse(CsrMatrix::from_triplets(rows, cols, &triplets)))
+            Similarity::Sparse(CsrMatrix::from_triplets(rows, cols, &triplets))
         }
-        other => Err(format!("unknown similarity repr {other:?}")),
-    }
+        other => return Err(format!("unknown similarity repr {other:?}")),
+    };
+    Ok(sim)
 }
 
 #[cfg(test)]
@@ -284,7 +314,8 @@ mod tests {
         );
         let sim = Similarity::Dense(m);
         let text = similarity_to_json(&sim).unwrap().to_string_compact();
-        let back = similarity_from_json(&graphalign_json::from_str(&text).unwrap()).unwrap();
+        let back =
+            similarity_from_json(&graphalign_json::from_str(&text).unwrap(), sim.shape()).unwrap();
         assert_bit_identical(&sim, &back);
         // -0.0 must survive (its bits differ from 0.0).
         if let Similarity::Dense(back_m) = &back {
@@ -303,7 +334,9 @@ mod tests {
             }
             let sim = Similarity::LowRank(lr);
             let text = similarity_to_json(&sim).unwrap().to_string_compact();
-            let back = similarity_from_json(&graphalign_json::from_str(&text).unwrap()).unwrap();
+            let back =
+                similarity_from_json(&graphalign_json::from_str(&text).unwrap(), sim.shape())
+                    .unwrap();
             assert_bit_identical(&sim, &back);
             if let (Similarity::LowRank(a), Similarity::LowRank(b)) = (&sim, &back) {
                 assert_eq!(a.kernel(), b.kernel());
@@ -317,7 +350,8 @@ mod tests {
         let s = CsrMatrix::from_triplets(3, 4, &[(0, 1, -2.5), (1, 0, 0.0), (2, 3, 1.0 / 7.0)]);
         let sim = Similarity::Sparse(s);
         let text = similarity_to_json(&sim).unwrap().to_string_compact();
-        let back = similarity_from_json(&graphalign_json::from_str(&text).unwrap()).unwrap();
+        let back =
+            similarity_from_json(&graphalign_json::from_str(&text).unwrap(), sim.shape()).unwrap();
         assert_bit_identical(&sim, &back);
         if let (Similarity::Sparse(a), Similarity::Sparse(b)) = (&sim, &back) {
             assert_eq!(a.nnz(), b.nnz(), "explicit zeros survive the round trip");
@@ -350,10 +384,11 @@ mod tests {
                 let sim = Similarity::LowRank(lr);
                 let text = similarity_to_json(&sim).unwrap().to_string_compact();
                 let back =
-                    similarity_from_json(&graphalign_json::from_str(&text).unwrap()).unwrap();
+                    similarity_from_json(&graphalign_json::from_str(&text).unwrap(), sim.shape())
+                        .unwrap();
                 assert_bit_identical(&sim, &back);
                 let envelope = to_checksummed_string(&sim).unwrap();
-                let back = from_checksummed_str(&envelope).unwrap();
+                let back = from_checksummed_str(&envelope, sim.shape()).unwrap();
                 assert_bit_identical(&sim, &back);
                 if let (Similarity::LowRank(a), Similarity::LowRank(b)) = (&sim, &back) {
                     assert_eq!(a.kernel(), b.kernel());
@@ -378,10 +413,12 @@ mod tests {
             let nnz = s.nnz();
             let sim = Similarity::Sparse(s);
             let text = similarity_to_json(&sim).unwrap().to_string_compact();
-            let back = similarity_from_json(&graphalign_json::from_str(&text).unwrap()).unwrap();
+            let back =
+                similarity_from_json(&graphalign_json::from_str(&text).unwrap(), sim.shape())
+                    .unwrap();
             assert_bit_identical(&sim, &back);
             let envelope = to_checksummed_string(&sim).unwrap();
-            let back = from_checksummed_str(&envelope).unwrap();
+            let back = from_checksummed_str(&envelope, sim.shape()).unwrap();
             assert_bit_identical(&sim, &back);
             if let Similarity::Sparse(b) = &back {
                 assert_eq!(b.nnz(), nnz, "stored-entry count must survive");
@@ -395,7 +432,7 @@ mod tests {
         let text = to_checksummed_string(&sim).unwrap();
         for cut in 0..text.len() {
             assert!(
-                from_checksummed_str(&text[..cut]).is_err(),
+                from_checksummed_str(&text[..cut], sim.shape()).is_err(),
                 "truncation at byte {cut} of {} went undetected",
                 text.len()
             );
@@ -415,12 +452,12 @@ mod tests {
         if let Json::Obj(members) = &mut v {
             members[0].1 = Json::Str("similarity/v999".into());
         }
-        assert!(similarity_from_json(&v).is_err());
+        assert!(similarity_from_json(&v, sim.shape()).is_err());
         let mut v = similarity_to_json(&sim).unwrap();
         if let Json::Obj(members) = &mut v {
             members[1].1 = Json::Str("holographic".into());
         }
-        assert!(similarity_from_json(&v).is_err());
+        assert!(similarity_from_json(&v, sim.shape()).is_err());
     }
 
     #[test]
@@ -435,7 +472,7 @@ mod tests {
         ];
         for sim in sims {
             let text = to_checksummed_string(&sim).unwrap();
-            let back = from_checksummed_str(&text).unwrap();
+            let back = from_checksummed_str(&text, sim.shape()).unwrap();
             assert_bit_identical(&sim, &back);
         }
     }
@@ -447,7 +484,7 @@ mod tests {
         for cut in 0..text.len() {
             let truncated = &text[..cut];
             assert!(
-                from_checksummed_str(truncated).is_err(),
+                from_checksummed_str(truncated, sim.shape()).is_err(),
                 "truncation at byte {cut} of {} went undetected",
                 text.len()
             );
@@ -467,7 +504,7 @@ mod tests {
                 // cache layer reads with `from_utf8` and quarantines on error.
                 let Ok(corrupt) = String::from_utf8(corrupt) else { continue };
                 assert!(
-                    from_checksummed_str(&corrupt).is_err(),
+                    from_checksummed_str(&corrupt, sim.shape()).is_err(),
                     "bit {bit} of byte {pos} flipped without detection"
                 );
             }
@@ -481,7 +518,7 @@ mod tests {
         // recompute rather than alias.
         let sim = Similarity::Dense(DenseMatrix::zeros(2, 2));
         let legacy = similarity_to_json(&sim).unwrap().to_string_compact();
-        assert!(from_checksummed_str(&legacy).is_err());
+        assert!(from_checksummed_str(&legacy, sim.shape()).is_err());
     }
 
     #[test]
@@ -498,6 +535,45 @@ mod tests {
         let text = similarity_to_json(&sim).unwrap().to_string_compact();
         let tampered = text.replace("\"rows\":2", "\"rows\":3");
         let parsed = graphalign_json::from_str(&tampered).unwrap();
-        assert!(similarity_from_json(&parsed).is_err());
+        assert!(similarity_from_json(&parsed, sim.shape()).is_err());
+        // A well-formed entry of another shape is refused as well.
+        let parsed = graphalign_json::from_str(&text).unwrap();
+        assert!(similarity_from_json(&parsed, (2, 3)).is_err());
+        let lowrank = Similarity::LowRank(LowRankSim::new(
+            DenseMatrix::zeros(2, 1),
+            DenseMatrix::zeros(3, 1),
+            LowRankKernel::Dot,
+        ));
+        let parsed = similarity_to_json(&lowrank).unwrap();
+        assert!(similarity_from_json(&parsed, (3, 2)).is_err());
+    }
+
+    #[test]
+    fn hostile_declared_shapes_are_refused_before_allocating() {
+        let sparse = |rows: &str| {
+            format!(
+                "{{\"format\":\"similarity/v1\",\"repr\":\"sparse\",\"rows\":{rows},\
+                 \"cols\":2,\"row_indices\":[],\"col_indices\":[],\"values\":[]}}"
+            )
+        };
+        let dense = "{\"format\":\"similarity/v1\",\"repr\":\"dense\",\"matrix\":\
+                     {\"rows\":4294967296,\"cols\":4294967296,\"data\":[]}}";
+        // 8·10¹⁸ bytes of row offsets; `usize::MAX` rows, whose `rows + 1`
+        // wraps; 2³² × 2³² entries, whose product wraps to the empty data.
+        for payload in [sparse("1e18"), sparse("1e30"), dense.to_string()] {
+            let json = graphalign_json::from_str(&payload).unwrap();
+            assert!(similarity_from_json(&json, (3, 2)).is_err(), "{payload}");
+            let envelope = format!(
+                "{{\"format\":\"similarity/v1\",\"checksum\":\"{:016x}\",\"bytes\":{}}}\n{payload}\n",
+                fnv1a_64(payload.as_bytes()),
+                payload.len()
+            );
+            assert_eq!(checked_payload(&envelope), Ok(payload.as_str()));
+            assert!(from_checksummed_str(&envelope, (3, 2)).is_err(), "{payload}");
+        }
+        // Even at its declared shape, the dense entry's data must fill it.
+        let json = graphalign_json::from_str(dense).unwrap();
+        let err = similarity_from_json(&json, (1 << 32, 1 << 32)).unwrap_err();
+        assert!(err.contains("dense data length 0"), "{err}");
     }
 }

@@ -171,7 +171,7 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.cols, "mul_vec: x length mismatch");
         assert_eq!(out.len(), self.rows, "mul_vec: out length mismatch");
         let avg_nnz = (self.nnz() / self.rows.max(1)).max(1);
-        par::for_each_chunk_mut(out, avg_nnz, |_, range, chunk| {
+        par::for_each_row_block_mut(out, 1, avg_nnz, |range, chunk| {
             for (off, o) in chunk.iter_mut().enumerate() {
                 let i = range.start + off;
                 let mut acc = 0.0;

@@ -15,7 +15,7 @@
 //! deadlines. The fork/join helpers in this crate propagate the installing
 //! thread's budget into their scoped workers, which is the only way worker
 //! threads are created in this workspace — a solver parallelized through
-//! [`crate::map_collect`] or [`crate::for_each_chunk_mut`] therefore sees
+//! [`crate::map_collect`] or [`crate::for_each_row_block_mut`] therefore sees
 //! the same budget on every thread.
 //!
 //! Polling [`exceeded`] costs one thread-local read plus (when a deadline is

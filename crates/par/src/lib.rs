@@ -11,19 +11,18 @@
 //! That holds because work is split at *fixed chunk boundaries* chosen from
 //! the problem size alone, each chunk is computed independently, and any
 //! reduction over chunk results happens sequentially in chunk order. Running
-//! with 1 thread, 64 threads, or with the `parallel` feature disabled
-//! produces bit-identical floating-point output, so correctness tests and
-//! paper-figure reproductions are insensitive to the machine's core count.
+//! with 1 thread or with 64 produces bit-identical floating-point output, so
+//! correctness tests and paper-figure reproductions are insensitive to the
+//! machine's core count.
 //!
-//! # Feature `parallel` (default)
+//! # Threads
 //!
-//! With the feature enabled, chunks are executed by scoped OS threads
-//! (`std::thread::scope` — the workspace builds offline, so no external
-//! thread-pool crate is available). The thread count is taken from, in order:
-//! [`set_max_threads`], the `GRAPHALIGN_THREADS` environment variable, the
-//! `RAYON_NUM_THREADS` environment variable (honored for familiarity), and
-//! finally [`std::thread::available_parallelism`]. With the feature disabled
-//! the same chunk schedule runs inline and no thread is ever spawned.
+//! Chunks are executed by scoped OS threads from the standard library (the
+//! workspace builds offline, so no external thread-pool crate is available).
+//! The thread count is taken from, in order: [`set_max_threads`], the
+//! `GRAPHALIGN_THREADS` environment variable, and finally
+//! [`std::thread::available_parallelism`]. At one thread every helper runs
+//! the same chunk schedule inline on the caller and no thread is spawned.
 //!
 //! Small inputs (below [`MIN_PAR_WORK`] work items) also run inline: scoped
 //! threads cost tens of microseconds to fork and join, which would dominate
@@ -37,56 +36,33 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Work threshold (in `cost_per_item` units, 1 unit ≈ one multiply-add)
-/// below which helpers run inline even when the `parallel` feature is
-/// enabled: forking scoped threads costs tens of microseconds, which would
-/// dominate kernels this small.
+/// below which helpers run inline: forking scoped threads costs tens of
+/// microseconds, which would dominate kernels this small.
 pub const MIN_PAR_WORK: usize = 1 << 17;
 
 /// Thread-count override installed by [`set_max_threads`]; 0 means "unset".
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// One unit of work handed to a worker: chunk index, its index range, and
-/// the disjoint sub-slice it owns.
-#[cfg(feature = "parallel")]
-type Job<'a, T> = (usize, Range<usize>, &'a mut [T]);
-
 /// Caps the number of worker threads used by all helpers in this crate.
 ///
-/// Takes precedence over `GRAPHALIGN_THREADS` / `RAYON_NUM_THREADS`. Passing
-/// `0` clears the override. Because results are thread-count independent,
-/// this knob only affects wall-clock time.
+/// Takes precedence over `GRAPHALIGN_THREADS`. Passing `0` clears the
+/// override. Because results are thread-count independent, this knob only
+/// affects wall-clock time.
 pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n, Ordering::Relaxed);
 }
 
-fn env_threads() -> Option<usize> {
-    for var in ["GRAPHALIGN_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return Some(n);
-                }
-            }
-        }
-    }
-    None
-}
-
 /// The number of worker threads helpers may use for large inputs.
-///
-/// Always `1` when the `parallel` feature is disabled.
 pub fn max_threads() -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
     let explicit = MAX_THREADS.load(Ordering::Relaxed);
     if explicit > 0 {
         return explicit;
     }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    std::env::var("GRAPHALIGN_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Splits `0..len` into the fixed chunk ranges all helpers use: `chunk_len`
@@ -107,80 +83,54 @@ pub fn chunk_ranges(len: usize, chunk_len: usize) -> Vec<Range<usize>> {
 /// Each chunk carries about `MIN_PAR_WORK / 2` work units: enough to
 /// amortize fork overhead, small enough that work-stealing over chunks
 /// balances load across any realistic core count.
-fn auto_chunk_len(_len: usize, cost_per_item: usize) -> usize {
+fn auto_chunk_len(cost_per_item: usize) -> usize {
     (MIN_PAR_WORK / 2).div_ceil(cost_per_item.max(1)).max(1)
 }
 
-/// Runs `f(chunk_index, chunk)` over fixed-size chunks of `data`, in parallel
-/// for large inputs.
-///
-/// `cost_per_item` is the approximate work per element (1 ≈ one flop); it
-/// only influences the inline/parallel decision and chunk sizing, never the
-/// result.
-pub fn for_each_chunk_mut<T: Send>(
-    data: &mut [T],
-    cost_per_item: usize,
-    f: impl Fn(usize, Range<usize>, &mut [T]) + Sync,
-) {
-    let len = data.len();
-    if len == 0 {
-        return;
+/// How many workers run `chunks` chunks over `len` items of cost
+/// `cost_per_item`: 1 (inline on the caller) for a single chunk, a single
+/// allowed thread, or less than [`MIN_PAR_WORK`] work in all; otherwise
+/// [`max_threads`], capped at the chunk count.
+fn workers_for(len: usize, cost_per_item: usize, chunks: usize) -> usize {
+    if chunks < 2 || len.saturating_mul(cost_per_item.max(1)) < MIN_PAR_WORK {
+        return 1;
     }
-    let chunk_len = auto_chunk_len(len, cost_per_item);
-    let ranges = chunk_ranges(len, chunk_len);
-    if !should_fork(len, cost_per_item, ranges.len()) {
-        let mut rest = data;
-        let mut offset = 0;
-        for (c, r) in ranges.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(r.end - offset);
-            f(c, r.clone(), head);
-            rest = tail;
-            offset = r.end;
-        }
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    {
-        // Hand each worker a round-robin share of the (disjoint) chunks.
-        let mut jobs: Vec<Job<'_, T>> = Vec::with_capacity(ranges.len());
-        let mut rest = data;
-        let mut offset = 0;
-        for (c, r) in ranges.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(r.end - offset);
-            jobs.push((c, r.clone(), head));
-            rest = tail;
-            offset = r.end;
-        }
-        let workers = max_threads().min(jobs.len());
-        let mut shares: Vec<Vec<Job<'_, T>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (slot, job) in jobs.into_iter().enumerate() {
-            shares[slot % workers].push(job);
-        }
-        let f = &f;
-        let parent_budget = budget::current();
-        let parent_sink = telemetry::current();
-        std::thread::scope(|s| {
-            for share in shares {
-                let parent_budget = parent_budget.clone();
-                let parent_sink = parent_sink.clone();
+    max_threads().min(chunks)
+}
+
+/// Runs `work` once per share, each share on its own scoped thread, and
+/// returns the results in share order. This is the one place the crate
+/// spawns threads: every worker adopts the caller's budget and telemetry
+/// sink, and a worker's panic is re-raised on the caller with its own
+/// payload once all workers have finished.
+fn run_workers<S: Send, A: Send>(shares: Vec<S>, work: impl Fn(S) -> A + Sync) -> Vec<A> {
+    let work = &work;
+    let (parent_budget, parent_sink) = (budget::current(), telemetry::current());
+    let joined: Vec<std::thread::Result<A>> = std::thread::scope(|s| {
+        let handles: Vec<_> = shares
+            .into_iter()
+            .map(|share| {
+                let (parent_budget, parent_sink) = (parent_budget.clone(), parent_sink.clone());
                 s.spawn(move || {
                     let _budget = budget::adopt(parent_budget);
                     let _telemetry = telemetry::adopt(parent_sink);
-                    for (c, r, chunk) in share {
-                        f(c, r, chunk);
-                    }
-                });
-            }
-        });
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("should_fork is false without the `parallel` feature");
+                    work(share)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    joined.into_iter().map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
 }
 
 /// Runs `f(row_range, block)` over blocks of whole rows of a row-major
 /// buffer, in parallel for large inputs. Blocks are split at row boundaries
 /// (`row_len` elements per row) so matrix kernels can hand out disjoint
-/// row slices.
+/// row slices; `row_len = 1` makes every element a row.
+///
+/// `cost_per_row` is the approximate work per row (1 ≈ one flop); it only
+/// influences the inline/parallel decision and block sizing, never the
+/// result.
 ///
 /// # Panics
 /// Panics (debug) when `data.len()` is not a multiple of `row_len`.
@@ -195,62 +145,23 @@ pub fn for_each_row_block_mut<T: Send>(
     }
     debug_assert_eq!(data.len() % row_len, 0, "data must hold whole rows");
     let rows = data.len() / row_len;
-    let chunk_rows = auto_chunk_len(rows, cost_per_row);
-    let ranges = chunk_ranges(rows, chunk_rows);
-    if !should_fork(rows, cost_per_row, ranges.len()) {
-        let mut rest = data;
-        let mut offset = 0;
-        for r in ranges {
-            let (head, tail) = rest.split_at_mut((r.end - offset) * row_len);
-            offset = r.end;
-            f(r, head);
-            rest = tail;
-        }
+    let ranges = chunk_ranges(rows, auto_chunk_len(cost_per_row));
+    let workers = workers_for(rows, cost_per_row, ranges.len());
+    let blocks = ranges.into_iter().scan(data, |rest, r| {
+        let (head, tail) = std::mem::take(rest).split_at_mut(r.len() * row_len);
+        *rest = tail;
+        Some((r, head))
+    });
+    if workers == 1 {
+        blocks.for_each(|(r, block)| f(r, block));
         return;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let mut jobs: Vec<(Range<usize>, &mut [T])> = Vec::with_capacity(ranges.len());
-        let mut rest = data;
-        let mut offset = 0;
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut((r.end - offset) * row_len);
-            jobs.push((r.clone(), head));
-            rest = tail;
-            offset = r.end;
-        }
-        let workers = max_threads().min(jobs.len());
-        let mut shares: Vec<Vec<(Range<usize>, &mut [T])>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (slot, job) in jobs.into_iter().enumerate() {
-            shares[slot % workers].push(job);
-        }
-        let f = &f;
-        let parent_budget = budget::current();
-        let parent_sink = telemetry::current();
-        std::thread::scope(|s| {
-            for share in shares {
-                let parent_budget = parent_budget.clone();
-                let parent_sink = parent_sink.clone();
-                s.spawn(move || {
-                    let _budget = budget::adopt(parent_budget);
-                    let _telemetry = telemetry::adopt(parent_sink);
-                    for (r, block) in share {
-                        f(r, block);
-                    }
-                });
-            }
-        });
+    // Deal the disjoint blocks round-robin to the workers.
+    let mut shares: Vec<Vec<(Range<usize>, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
+    for (c, block) in blocks.enumerate() {
+        shares[c % workers].push(block);
     }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("should_fork is false without the `parallel` feature");
-}
-
-fn should_fork(len: usize, cost_per_item: usize, chunks: usize) -> bool {
-    cfg!(feature = "parallel")
-        && chunks > 1
-        && max_threads() > 1
-        && len.saturating_mul(cost_per_item.max(1)) >= MIN_PAR_WORK
+    run_workers(shares, |share| share.into_iter().for_each(|(r, block)| f(r, block)));
 }
 
 /// Computes `(0..len).map(f)` into a `Vec`, in parallel for large inputs.
@@ -262,23 +173,17 @@ pub fn map_collect<T: Send>(
     cost_per_item: usize,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    let chunk_len = auto_chunk_len(len, cost_per_item);
-    let ranges = chunk_ranges(len, chunk_len);
-    if !should_fork(len, cost_per_item, ranges.len()) {
+    let ranges = chunk_ranges(len, auto_chunk_len(cost_per_item));
+    let workers = workers_for(len, cost_per_item, ranges.len());
+    if workers == 1 {
         return (0..len).map(f).collect();
     }
-    #[cfg(feature = "parallel")]
-    {
-        let mut parts: Vec<Vec<T>> =
-            map_chunks_parallel(&ranges, &|r: Range<usize>| r.map(&f).collect::<Vec<T>>());
-        let mut out = Vec::with_capacity(len);
-        for part in parts.iter_mut() {
-            out.append(part);
-        }
-        out
+    let parts = fold_parallel(&ranges, workers, |r| r.map(&f).collect::<Vec<T>>());
+    let mut out = Vec::with_capacity(len);
+    for mut part in parts {
+        out.append(&mut part);
     }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("should_fork is false without the `parallel` feature");
+    out
 }
 
 /// Extracts a human-readable message from a caught panic payload
@@ -297,8 +202,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Panic-isolating [`map_collect`]: computes `(0..len).map(f)` into a `Vec`,
 /// converting a panic in `f(i)` into `Err(message)` for that index instead
-/// of unwinding (and, under the `parallel` feature, instead of poisoning the
-/// worker pool and aborting the process).
+/// of unwinding through the workers to the caller.
 ///
 /// The chunk schedule is identical to [`map_collect`]'s — a pure function of
 /// `len` and `cost_per_item` — so both the successful values and the
@@ -331,17 +235,12 @@ pub fn fold_chunks<A: Send>(
     cost_per_item: usize,
     fold: impl Fn(Range<usize>) -> A + Sync,
 ) -> Vec<A> {
-    let chunk_len = auto_chunk_len(len, cost_per_item);
-    let ranges = chunk_ranges(len, chunk_len);
-    if !should_fork(len, cost_per_item, ranges.len()) {
+    let ranges = chunk_ranges(len, auto_chunk_len(cost_per_item));
+    let workers = workers_for(len, cost_per_item, ranges.len());
+    if workers == 1 {
         return ranges.into_iter().map(fold).collect();
     }
-    #[cfg(feature = "parallel")]
-    {
-        map_chunks_parallel(&ranges, &fold)
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("should_fork is false without the `parallel` feature");
+    fold_parallel(&ranges, workers, fold)
 }
 
 /// Deterministic parallel sum of `f(i)` over `0..len`: chunk partial sums are
@@ -368,88 +267,35 @@ pub fn fold_strided<A: Send>(
     if len == 0 {
         return Vec::new();
     }
-    if !should_fork(len, cost_per_item, 2) {
+    let workers = workers_for(len, cost_per_item, len);
+    if workers == 1 {
         return vec![fold(0, 1)];
     }
-    #[cfg(feature = "parallel")]
-    {
-        let workers = max_threads().min(len);
-        let fold = &fold;
-        let parent_budget = budget::current();
-        let parent_sink = telemetry::current();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let parent_budget = parent_budget.clone();
-                    let parent_sink = parent_sink.clone();
-                    s.spawn(move || {
-                        let _budget = budget::adopt(parent_budget);
-                        let _telemetry = telemetry::adopt(parent_sink);
-                        fold(w, workers)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-        })
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("should_fork is false without the `parallel` feature");
+    run_workers((0..workers).collect(), |w| fold(w, workers))
 }
 
-/// Runs every chunk closure on scoped threads and collects results in chunk
+/// Runs `fold` over `ranges` on `workers` threads, each claiming the next
+/// unclaimed chunk until none is left, and returns the results in chunk
 /// order.
-#[cfg(feature = "parallel")]
-fn map_chunks_parallel<A: Send>(
+fn fold_parallel<A: Send>(
     ranges: &[Range<usize>],
-    fold: &(impl Fn(Range<usize>) -> A + Sync),
+    workers: usize,
+    fold: impl Fn(Range<usize>) -> A + Sync,
 ) -> Vec<A> {
-    let workers = max_threads().min(ranges.len());
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<A>> = (0..ranges.len()).map(|_| None).collect();
-    {
-        let slot_ptrs: Vec<_> = slots.iter_mut().collect();
-        let shared = std::sync::Mutex::new(slot_ptrs);
-        let parent_budget = budget::current();
-        let parent_sink = telemetry::current();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let shared = &shared;
-                    let parent_budget = parent_budget.clone();
-                    let parent_sink = parent_sink.clone();
-                    s.spawn(move || {
-                        let _budget = budget::adopt(parent_budget);
-                        let _telemetry = telemetry::adopt(parent_sink);
-                        let mut produced: Vec<(usize, A)> = Vec::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= ranges.len() {
-                                break;
-                            }
-                            produced.push((c, fold(ranges[c].clone())));
-                        }
-                        let mut slots = shared.lock().expect("slot mutex poisoned");
-                        for (c, a) in produced {
-                            *slots[c] = Some(a);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("worker thread panicked");
-            }
-        });
-    }
-    slots.into_iter().map(|s| s.expect("every chunk produced")).collect()
-}
-
-/// Re-exports for `use graphalign_par::prelude::*` call sites.
-pub mod prelude {
-    pub use crate::{
-        budget, fault, fold_chunks, fold_strided, for_each_chunk_mut, for_each_row_block_mut,
-        map_collect, max_threads, set_max_threads, sum_indexed, telemetry, try_map_collect,
-    };
+    let mut produced: Vec<(usize, A)> = run_workers((0..workers).collect(), |_| {
+        let mut produced = Vec::new();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            let Some(r) = ranges.get(c) else { return produced };
+            produced.push((c, fold(r.clone())));
+        }
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    produced.sort_unstable_by_key(|&(c, _)| c);
+    produced.into_iter().map(|(_, a)| a).collect()
 }
 
 #[cfg(test)]
@@ -486,12 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_mut_writes_every_slot_once() {
+    fn single_item_rows_write_every_slot_once() {
         let n = 300_000;
         for threads in [1, 3, 16] {
             set_max_threads(threads);
             let mut data = vec![0u64; n];
-            for_each_chunk_mut(&mut data, 1, |_, range, chunk| {
+            for_each_row_block_mut(&mut data, 1, 1, |range, chunk| {
                 for (off, slot) in chunk.iter_mut().enumerate() {
                     *slot += (range.start + off) as u64 + 1;
                 }
@@ -554,7 +400,7 @@ mod tests {
         // Nothing observable to assert beyond correctness, but exercise the
         // inline path explicitly (len * cost < MIN_PAR_WORK).
         let mut data = vec![1.0f64; 8];
-        for_each_chunk_mut(&mut data, 1, |_, _, chunk| {
+        for_each_row_block_mut(&mut data, 1, 1, |_, chunk| {
             for v in chunk {
                 *v *= 2.0;
             }
@@ -646,10 +492,42 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_own_message() {
+        let _lock = HOOK_LOCK.lock().unwrap();
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        set_max_threads(2);
+        // Each item forks at 2 threads and panics in exactly one chunk.
+        let (n, second) = (400_000, auto_chunk_len(1));
+        let got = try_map_collect(3, 1, |helper| match helper {
+            0 => for_each_row_block_mut(&mut vec![0u8; n], 1, 1, |r, _| {
+                if r.start == second {
+                    panic!("block 1 failed");
+                }
+            }),
+            1 => {
+                fold_chunks(n, 1, |r| {
+                    if r.start == second {
+                        panic!("chunk 1 failed");
+                    }
+                });
+            }
+            _ => {
+                fold_strided(n, 1, |w, _| {
+                    if w == 1 {
+                        panic!("stride 1 failed");
+                    }
+                });
+            }
+        });
+        set_max_threads(0);
+        std::panic::set_hook(prev);
+        let expected = ["block 1 failed", "chunk 1 failed", "stride 1 failed"];
+        assert_eq!(got, expected.map(|m| Err(m.to_string())));
+    }
+
+    #[test]
     fn worker_threads_inherit_the_installed_budget() {
-        if !cfg!(feature = "parallel") {
-            return;
-        }
         set_max_threads(4);
         let _g = budget::install(Some(std::time::Duration::ZERO));
         // Every index polls the budget from whatever worker runs it.
@@ -660,9 +538,6 @@ mod tests {
 
     #[test]
     fn worker_threads_inherit_the_installed_telemetry_sink() {
-        if !cfg!(feature = "parallel") {
-            return;
-        }
         set_max_threads(4);
         let _g = telemetry::install(false);
         // Every index bumps the shared counter from whatever worker runs it.
@@ -675,11 +550,7 @@ mod tests {
     fn max_threads_is_positive_and_overridable() {
         assert!(max_threads() >= 1);
         set_max_threads(3);
-        if cfg!(feature = "parallel") {
-            assert_eq!(max_threads(), 3);
-        } else {
-            assert_eq!(max_threads(), 1);
-        }
+        assert_eq!(max_threads(), 3);
         set_max_threads(0);
         assert!(max_threads() >= 1);
     }

@@ -34,7 +34,9 @@
 //! entry under a quarantined name restores integrity (ready again).
 
 use graphalign_graph::ContentDigest;
-use graphalign_linalg::serialize::{fnv1a_64, from_checksummed_str, to_checksummed_string};
+use graphalign_linalg::serialize::{
+    checked_payload, fnv1a_64, from_checksummed_str, to_checksummed_string,
+};
 use graphalign_linalg::Similarity;
 use graphalign_par::fault::{self, FaultKind};
 use std::collections::{HashMap, HashSet};
@@ -173,9 +175,11 @@ impl SimilarityCache {
         format!("{:016x}.sim.json", fnv1a_64(key.as_string().as_bytes()))
     }
 
-    /// Verifies every persisted entry, quarantining the unreadable ones.
-    /// Entries are not loaded into memory (lookups stay lazy); this only
-    /// establishes the integrity state a fresh server reports.
+    /// Verifies the envelope (length and checksum) of every persisted
+    /// entry, quarantining the torn and corrupt ones. Entries are not
+    /// decoded or loaded into memory (lookups stay lazy, and only a lookup
+    /// knows the shape to decode against); this only establishes the
+    /// integrity state a fresh server reports.
     fn scan_persisted(&self) {
         let Some(dir) = &self.dir else { return };
         let Ok(listing) = std::fs::read_dir(dir) else { return };
@@ -187,7 +191,7 @@ impl SimilarityCache {
             }
             let verdict = std::fs::read_to_string(&path)
                 .map_err(|e| format!("read: {e}"))
-                .and_then(|text| from_checksummed_str(&text).map(|_| ()));
+                .and_then(|text| checked_payload(&text).map(|_| ()));
             if let Err(reason) = verdict {
                 self.quarantine(&path, &name, &reason);
             }
@@ -215,10 +219,12 @@ impl SimilarityCache {
     /// directory. Returns the similarity and its approximate byte size.
     /// Counts a hit (including disk reloads) or a miss in the stats.
     ///
-    /// A persisted entry that fails its checksum or length check is
-    /// quarantined and the lookup returns `None` — the caller recomputes,
+    /// `shape` is the similarity's expected `(|V_s|, |V_t|)`. A persisted
+    /// entry that fails its checksum or length check, or decodes to any
+    /// other shape, is quarantined before its declared shape sizes an
+    /// allocation, and the lookup returns `None` — the caller recomputes,
     /// and the fresh insert restores the entry (and the integrity state).
-    pub fn get(&self, key: &CacheKey) -> Option<(Arc<Similarity>, u64)> {
+    pub fn get(&self, key: &CacheKey, shape: (usize, usize)) -> Option<(Arc<Similarity>, u64)> {
         let flat = key.as_string();
         {
             let mut inner = self.inner.lock().expect("cache lock");
@@ -254,7 +260,7 @@ impl SimilarityCache {
                 return None;
             }
         };
-        let sim = match from_checksummed_str(&text) {
+        let sim = match from_checksummed_str(&text, shape) {
             Ok(s) => Arc::new(s),
             Err(reason) => {
                 self.quarantine(&path, &name, &reason);
@@ -405,10 +411,10 @@ mod tests {
     #[test]
     fn memory_hit_after_insert() {
         let c = SimilarityCache::new(1 << 20, None).unwrap();
-        assert!(c.get(&key("A")).is_none());
+        assert!(c.get(&key("A"), (4, 1)).is_none());
         c.note_miss();
         c.insert(&key("A"), sim(4));
-        let (got, bytes) = c.get(&key("A")).expect("hit");
+        let (got, bytes) = c.get(&key("A"), (4, 1)).expect("hit");
         assert_eq!(got.rows(), 4);
         assert!(bytes > 0);
         let s = c.stats();
@@ -424,11 +430,11 @@ mod tests {
         let c = SimilarityCache::new(one * 5 / 2, None).unwrap();
         c.insert(&key("A"), sim(4));
         c.insert(&key("B"), sim(4));
-        assert!(c.get(&key("A")).is_some(), "touch A so B becomes LRU");
+        assert!(c.get(&key("A"), (4, 1)).is_some(), "touch A so B becomes LRU");
         c.insert(&key("C"), sim(4));
-        assert!(c.get(&key("B")).is_none(), "B was evicted");
-        assert!(c.get(&key("A")).is_some());
-        assert!(c.get(&key("C")).is_some());
+        assert!(c.get(&key("B"), (4, 1)).is_none(), "B was evicted");
+        assert!(c.get(&key("A"), (4, 1)).is_some());
+        assert!(c.get(&key("C"), (4, 1)).is_some());
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -441,7 +447,7 @@ mod tests {
         }
         // A fresh cache (fresh process, conceptually) reloads from disk.
         let c = SimilarityCache::new(1 << 20, Some(dir.clone())).unwrap();
-        let (got, _) = c.get(&key("A")).expect("disk hit");
+        let (got, _) = c.get(&key("A"), (4, 1)).expect("disk hit");
         assert_eq!(got.rows(), 4);
         assert_eq!(c.stats().disk_loads, 1);
         assert_eq!(c.stats().quarantined, 0, "clean entries never quarantine");
@@ -452,10 +458,10 @@ mod tests {
     fn distinct_keys_do_not_alias() {
         let c = SimilarityCache::new(1 << 20, None).unwrap();
         c.insert(&key("A"), sim(4));
-        assert!(c.get(&key("B")).is_none());
+        assert!(c.get(&key("B"), (4, 1)).is_none());
         let mut k = key("A");
         k.variant = "auction";
-        assert!(c.get(&k).is_none(), "variant is part of the key");
+        assert!(c.get(&k, (4, 1)).is_none(), "variant is part of the key");
     }
 
     #[test]
@@ -497,13 +503,45 @@ mod tests {
         assert!(!path.exists(), "corrupt entry removed from the live directory");
         assert!(dir.join("quarantine").join(&name).exists(), "entry preserved for forensics");
         // The lookup misses (recompute path), never errors.
-        assert!(c.get(&key("A")).is_none());
+        assert!(c.get(&key("A"), (4, 1)).is_none());
         // Recomputing and re-inserting restores integrity.
         c.insert(&key("A"), sim(4));
         assert!(c.integrity_ok());
         assert_eq!(c.stats().pending_integrity, 0);
-        assert!(c.get(&key("A")).is_some());
+        assert!(c.get(&key("A"), (4, 1)).is_some());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn entries_of_hostile_shapes_are_quarantined_before_decoding() {
+        let sparse = |rows: &str| {
+            format!(
+                "{{\"format\":\"similarity/v1\",\"repr\":\"sparse\",\"rows\":{rows},\
+                 \"cols\":1,\"row_indices\":[],\"col_indices\":[],\"values\":[]}}"
+            )
+        };
+        let dense = "{\"format\":\"similarity/v1\",\"repr\":\"dense\",\"matrix\":\
+                     {\"rows\":4294967296,\"cols\":4294967296,\"data\":[]}}";
+        for payload in [sparse("1e18"), sparse("1e30"), dense.to_string()] {
+            let dir = temp_dir("hostile");
+            std::fs::create_dir_all(&dir).unwrap();
+            // A valid envelope: right length, right checksum.
+            let entry = format!(
+                "{{\"format\":\"similarity/v1\",\"checksum\":\"{:016x}\",\"bytes\":{}}}\n{payload}\n",
+                fnv1a_64(payload.as_bytes()),
+                payload.len()
+            );
+            let name = SimilarityCache::file_name(&key("A"));
+            std::fs::write(dir.join(&name), entry).unwrap();
+            let c = SimilarityCache::new(1 << 20, Some(dir.clone())).unwrap();
+            assert!(c.integrity_ok(), "the envelope is intact: {payload}");
+            assert!(c.get(&key("A"), (4, 1)).is_none(), "{payload}");
+            assert_eq!((c.stats().quarantined, c.stats().pending_integrity), (1, 1));
+            c.insert(&key("A"), sim(4));
+            let fresh = SimilarityCache::new(1 << 20, Some(dir.clone())).unwrap();
+            assert_eq!(fresh.get(&key("A"), (4, 1)).expect("recomputed entry").0, sim(4));
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -518,7 +556,7 @@ mod tests {
         // Evicted from memory? No — same cache still holds it in memory, so
         // use a fresh one (lazy: the startup scan quarantines instead).
         let fresh = SimilarityCache::new(1 << 20, Some(dir.clone())).unwrap();
-        assert!(fresh.get(&key("A")).is_none());
+        assert!(fresh.get(&key("A"), (8, 1)).is_none());
         assert_eq!(fresh.stats().quarantined, 1);
         std::fs::remove_dir_all(&dir).ok();
     }

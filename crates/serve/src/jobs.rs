@@ -363,7 +363,8 @@ fn attempt_once(
             params: "default".to_string(),
             variant,
         };
-        let cached = if attempt == 1 { state.cache.get(&key) } else { None };
+        let shape = (source.node_count(), target.node_count());
+        let cached = if attempt == 1 { state.cache.get(&key, shape) } else { None };
         let sim = match cached {
             Some((sim, bytes)) => {
                 // The warm path: the embedding/similarity phase is skipped
@@ -392,7 +393,7 @@ fn attempt_once(
 
     let outcome = match caught {
         Ok(Ok(mapping)) => AttemptOutcome::Mapping(mapping),
-        Ok(Err(e)) => AttemptOutcome::Failed(classify(&e), e.to_string()),
+        Ok(Err(e)) => AttemptOutcome::Failed((&e).into(), e.to_string()),
         Err(payload) => {
             state.counters.panics_contained.fetch_add(1, Ordering::Relaxed);
             AttemptOutcome::Failed(
@@ -406,17 +407,6 @@ fn attempt_once(
         }
     };
     (outcome, telemetry)
-}
-
-/// Maps an [`AlignError`] onto the harness failure taxonomy — the same
-/// mapping `RepFailure::from_align_error` applies in the experiment
-/// harness, so serve responses and sweep result JSON agree on classes.
-fn classify(e: &AlignError) -> CellError {
-    match e {
-        AlignError::Interrupted { .. } => CellError::Timeout,
-        AlignError::BadInstance(_) => CellError::Infeasible,
-        AlignError::Numerical(_) => CellError::Numeric,
-    }
 }
 
 /// Parses the `POST /jobs` body. Validation errors become 400 responses.

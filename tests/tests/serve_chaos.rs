@@ -455,10 +455,12 @@ fn header_flood_gets_431() {
 }
 
 /// Satellite property test: *any* truncation or single-bit flip of a
-/// persisted `similarity/v1` entry must be quarantined and recomputed —
-/// bit-identical mapping, never an error response. Exhaustive prefix
-/// truncations are covered at the serialize unit level; here a
-/// deterministic spread of corruptions runs through the full server stack.
+/// persisted `similarity/v1` entry, and any crafted entry whose declared
+/// shape is not the query's, must be quarantined and recomputed —
+/// bit-identical mapping, never an error response, a panic or an abort.
+/// Exhaustive prefix truncations are covered at the serialize unit level;
+/// here a deterministic spread of corruptions runs through the full server
+/// stack.
 #[test]
 fn any_persisted_corruption_yields_quarantine_and_bit_identical_recompute() {
     let _guard = lock();
@@ -495,6 +497,27 @@ fn any_persisted_corruption_yields_quarantine_and_bit_identical_recompute() {
         flipped[i] ^= 1 << bit;
         corruptions.push(flipped);
     }
+    // Crafted entries with a valid envelope (right length, right checksum)
+    // whose declared shape would size an allocation: 10¹⁸ sparse rows
+    // (8·10¹⁸ bytes of offsets), 10³⁰ (saturates, so `rows + 1` wraps) and
+    // a 2³² × 2³² dense matrix whose entry count wraps to its empty data.
+    let sparse = |rows: &str| {
+        format!(
+            "{{\"format\":\"similarity/v1\",\"repr\":\"sparse\",\"rows\":{rows},\"cols\":2,\
+             \"row_indices\":[],\"col_indices\":[],\"values\":[]}}"
+        )
+    };
+    let dense = "{\"format\":\"similarity/v1\",\"repr\":\"dense\",\"matrix\":\
+                 {\"rows\":4294967296,\"cols\":4294967296,\"data\":[]}}";
+    for payload in [sparse("1e18"), sparse("1e30"), dense.to_string()] {
+        let checksum = graphalign_linalg::serialize::fnv1a_64(payload.as_bytes());
+        let entry = format!(
+            "{{\"format\":\"similarity/v1\",\"checksum\":\"{checksum:016x}\",\"bytes\":{}}}\n\
+             {payload}\n",
+            payload.len()
+        );
+        corruptions.push(entry.into_bytes());
+    }
 
     for (case, corrupt) in corruptions.iter().enumerate() {
         std::fs::write(&entry_path, corrupt).expect("plant corruption");
@@ -510,9 +533,9 @@ fn any_persisted_corruption_yields_quarantine_and_bit_identical_recompute() {
             "case {case}: recomputed mapping must be bit-identical"
         );
         let s = stats(&addr);
-        // Quarantined either by the startup scan or (if the flip somehow
-        // escaped the scan's notice, which would itself be a bug) the read
-        // path — and re-persisting healed it.
+        // Quarantined either by the startup scan (a broken envelope) or by
+        // the read path (a well-formed entry of the wrong shape) — and
+        // re-persisting healed it.
         assert!(num_field(&s, &["cache", "quarantined"]) >= 1.0, "case {case}: {s:?}");
         assert_eq!(num_field(&s, &["cache", "pending_integrity"]), 0.0, "case {case}");
         let healthz = http::request(&addr, "GET", "/healthz", b"").expect("healthz");

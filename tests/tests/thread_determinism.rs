@@ -8,10 +8,9 @@
 //! and the blocked GEMM accumulates every output element in ascending
 //! shared-index order regardless of the row-block schedule — so similarity
 //! matrices, alignments, and telemetry operation counts must be
-//! *bit-identical* whether the process uses one worker thread or many, and
-//! identical again when the crate is built with `--no-default-features`
-//! (no `parallel`), which runs the same chunk schedule inline. This file is
-//! that contract's regression test.
+//! *bit-identical* whether the process uses one worker thread, which runs
+//! the chunk schedule inline on the caller, or many. This file is that
+//! contract's regression test.
 //!
 //! Everything lives in a single `#[test]` because `set_max_threads` is a
 //! process-global override and the libtest harness runs tests in the same
@@ -84,13 +83,7 @@ fn alignments_are_bit_identical_across_thread_counts() {
 
     let run_all = |threads: usize| -> (Vec<AlgoOutput>, OpCounts) {
         graphalign_par::set_max_threads(threads);
-        // Without the `parallel` feature the layer is pinned to one inline
-        // "thread" — the chunk schedule is identical either way.
-        if cfg!(feature = "parallel") {
-            assert_eq!(graphalign_par::max_threads(), threads);
-        } else {
-            assert_eq!(graphalign_par::max_threads(), 1);
-        }
+        assert_eq!(graphalign_par::max_threads(), threads);
         let _guard = telemetry::install(false);
         let results = registry()
             .iter()
