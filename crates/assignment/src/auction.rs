@@ -16,8 +16,8 @@
 //! ([`graphalign_par::budget`]) periodically: when the budget expires the
 //! auction stops bidding and completes the matching with the free-column
 //! fallback. The result is still a valid one-to-one matching, but possibly
-//! far from optimal — the harness records such cells as timeouts and
-//! discards their measures.
+//! far from optimal; the pipeline reports a matching returned after the
+//! budget expired as interrupted (`graphalign::assign_within_budget`).
 
 use graphalign_linalg::CsrMatrix;
 
@@ -119,13 +119,7 @@ pub fn auction_max_with(sim: &CsrMatrix, params: &AuctionParams) -> Vec<usize> {
             // Zero-similarity fallback: the cheapest column *not stored* in
             // this row (absent entries mean similarity 0; stored entries —
             // including negative ones — must keep their true value).
-            let stored = sim.row_cols(i);
-            let fallback = price
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| stored.binary_search(j).is_err())
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("prices are finite"));
-            if let Some((cheap_j, cheap_p)) = fallback {
+            if let Some((cheap_j, cheap_p)) = cheapest_unstored(&price, sim.row_cols(i)) {
                 let fallback_v = 0.0 - cheap_p;
                 if fallback_v > best_v {
                     second_v = best_v;
@@ -161,6 +155,27 @@ pub fn auction_max_with(sim: &CsrMatrix, params: &AuctionParams) -> Vec<usize> {
         .map(|c| c.unwrap_or_else(|| free_cols.pop().expect("cols ≥ rows")))
         .collect();
     out
+}
+
+/// The first column of least price among those absent from `stored` (a CSR
+/// row's strictly increasing columns), found in one pass over the gaps
+/// between them; `None` when the row stores every column, as the dense and
+/// densified similarities of IsoRank, NSD, REGAL and GRASP do.
+fn cheapest_unstored(price: &[f64], stored: &[usize]) -> Option<(usize, f64)> {
+    if stored.len() == price.len() {
+        return None;
+    }
+    let mut cheapest: Option<(usize, f64)> = None;
+    let mut start = 0;
+    for end in stored.iter().copied().chain([price.len()]) {
+        for (j, &p) in price.iter().enumerate().take(end).skip(start) {
+            if cheapest.is_none_or(|(_, c)| p < c) {
+                cheapest = Some((j, p));
+            }
+        }
+        start = end + 1;
+    }
+    cheapest
 }
 
 #[cfg(test)]

@@ -3,6 +3,20 @@
 //! The `O(n²m)` shortest-augmenting-path formulation with dual potentials —
 //! the optimal LAP baseline against which the paper's heuristics (NN, SG)
 //! are compared. Works on rectangular problems with `rows ≤ cols`.
+//!
+//! Each row's search scans only the columns it has not yet used, kept in
+//! ascending order in a list from which a column leaves when it is used, so
+//! a step touches only the columns still in play. The arithmetic, its order
+//! and the tie-breaking (the smallest column among equal `minv`) are the
+//! textbook scan over all columns, so the matching is the one it finds, bit
+//! for bit.
+//!
+//! The search polls the cooperative cell budget ([`graphalign_par::budget`])
+//! once per row: when the budget expires it stops and completes the matching
+//! with the free columns, like [`crate::auction`]. The result is still a
+//! valid one-to-one matching, but not an optimal one; the pipeline reports
+//! a matching returned after the budget expired as interrupted
+//! (`graphalign::assign_within_budget`).
 
 use graphalign_linalg::DenseMatrix;
 
@@ -24,39 +38,47 @@ pub fn hungarian_min(cost: &DenseMatrix) -> Vec<usize> {
     let mut v = vec![0.0; m + 1];
     let mut p = vec![0usize; m + 1]; // p[j]: row matched to column j (0 = none)
     let mut way = vec![0usize; m + 1];
+    let mut minv = vec![inf; m + 1];
+    // The current search's used columns (0 is the virtual one) and the rest,
+    // in ascending order.
+    let mut used: Vec<usize> = Vec::with_capacity(m + 1);
+    let mut unused: Vec<usize> = Vec::with_capacity(m);
     for i in 1..=n {
+        if graphalign_par::budget::exceeded() {
+            break;
+        }
         p[0] = i;
         let mut j0 = 0usize;
-        let mut minv = vec![inf; m + 1];
-        let mut used = vec![false; m + 1];
+        minv.fill(inf);
+        used.clear();
+        unused.clear();
+        unused.extend(1..=m);
         loop {
-            used[j0] = true;
+            used.push(j0);
             let i0 = p[j0];
+            let row = cost.row(i0 - 1);
             let mut delta = inf;
-            let mut j1 = 0usize;
-            for j in 1..=m {
-                if used[j] {
-                    continue;
-                }
-                let cur = cost.get(i0 - 1, j - 1) - u[i0] - v[j];
+            let mut k1 = usize::MAX;
+            for (k, &j) in unused.iter().enumerate() {
+                let cur = row[j - 1] - u[i0] - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
                     way[j] = j0;
                 }
                 if minv[j] < delta {
                     delta = minv[j];
-                    j1 = j;
+                    k1 = k;
                 }
             }
-            for j in 0..=m {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
-                }
+            assert!(k1 != usize::MAX, "hungarian: search found no reachable column");
+            for &j in &used {
+                u[p[j]] += delta;
+                v[j] -= delta;
             }
-            j0 = j1;
+            for &j in &unused {
+                minv[j] -= delta;
+            }
+            j0 = unused.remove(k1);
             if p[j0] == 0 {
                 break;
             }
@@ -76,6 +98,11 @@ pub fn hungarian_min(cost: &DenseMatrix) -> Vec<usize> {
         if p[j] != 0 {
             out[p[j] - 1] = j - 1;
         }
+    }
+    // Rows an expired budget left unmatched take the free columns.
+    let mut free_cols: Vec<usize> = (1..=m).filter(|&j| p[j] == 0).map(|j| j - 1).collect();
+    for c in out.iter_mut().filter(|c| **c == usize::MAX) {
+        *c = free_cols.pop().expect("cols ≥ rows");
     }
     out
 }
@@ -172,5 +199,21 @@ mod tests {
     #[should_panic(expected = "rows ≤ cols")]
     fn too_many_rows_panics() {
         hungarian_min(&DenseMatrix::zeros(2, 1));
+    }
+
+    #[test]
+    fn expired_budget_still_yields_valid_matching() {
+        // With a dead budget the search stops before the first row but must
+        // still return a complete one-to-one matching, rectangular included.
+        let (n, m) = (20, 23);
+        let sim = DenseMatrix::from_fn(n, m, |i, j| ((i * 7 + j * 13) % 17) as f64);
+        let _g = graphalign_par::budget::install(Some(std::time::Duration::ZERO));
+        let a = hungarian_max(&sim);
+        let mut seen = vec![false; m];
+        for &j in &a {
+            assert!(!seen[j], "column {j} assigned twice");
+            seen[j] = true;
+        }
+        assert_eq!(a.len(), n);
     }
 }

@@ -10,7 +10,8 @@
 //! than a copy of it. The `eigen` group (dense eigensolver, Lanczos, thin
 //! SVD) is mostly roofline entries that the GRASP and CONE similarity
 //! layers point back to; its one pair is GRASP's per-step projection,
-//! `polar` against the SVD route it replaced.
+//! `polar` against the SVD route it replaced. The `assignment` group (JV,
+//! Hungarian, auction) is the row set the assignment layer points back to.
 //!
 //! ```text
 //! kernel_bench [--quick] [--threads N] [--seed S] [--out PATH]
@@ -27,8 +28,8 @@
 //! threads, reps, median_ns, throughput}, …]}` where `throughput` is
 //! kernel-specific work units per second (flops for GEMM/SpMM, matvec flops
 //! for Sinkhorn, edges for graphlets, iteration flops for the IsoRank loop,
-//! and `n³` for the `eigen` group — the matrix or Krylov size cubed, a
-//! size-normalized rate rather than a flop count).
+//! and `n³` for the `eigen` and `assignment` groups — the matrix or Krylov
+//! size cubed, a size-normalized rate rather than a flop count).
 //!
 //! With `--compare`, reruns the suite and checks the *relative* speedups
 //! (naive median / optimized median) against the baseline's — absolute
@@ -85,7 +86,8 @@ struct Config {
     out: String,
     compare: Option<String>,
     /// Restrict the run to bench groups whose name contains this substring
-    /// (`gemm`, `spmm`, `sinkhorn`, `graphlets`, `isorank`, `eigen`). Measurement
+    /// (`gemm`, `spmm`, `sinkhorn`, `graphlets`, `isorank`, `eigen`,
+    /// `assignment`). Measurement
     /// aid only: filtered runs are refused as baselines or compare inputs.
     only: Option<String>,
 }
@@ -488,6 +490,43 @@ fn bench_eigen(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
     assert!(gap <= 1e-12, "polar diverged from the SVD polar factor by {gap:e}");
 }
 
+/// The assignment layer: JV, Hungarian and the auction on the serving
+/// workload's shape, the IsoRank similarity of a 2 %-noise power-law-cluster
+/// pair at n = 256 (128 in quick mode). IsoRank's similarity is flat, so JV's
+/// initialization leaves most rows to the augmentation and the solvers run
+/// near their cubic worst case; the auction gets the dense rows as CSR (built
+/// outside the clock), so its zero-similarity fallback never runs.
+fn bench_assignment(cfg: &Config, t: usize, rows: &mut Vec<Row>) {
+    use graphalign_assignment::{auction, hungarian, jv};
+    use graphalign_noise::{NoiseConfig, NoiseModel};
+    let n = if cfg.quick { 128 } else { 256 };
+    let g = graphalign_gen::powerlaw_cluster(n, 4, 0.3, cfg.seed + 8);
+    let noise = NoiseConfig { keep_connected: true, ..NoiseConfig::new(NoiseModel::OneWay, 0.02) };
+    let inst = graphalign_noise::make_instance(&g, &noise, cfg.seed + 9);
+    let sim = graphalign::precompute_similarity(
+        &graphalign::isorank::IsoRank::default(),
+        &inst.source,
+        &inst.target,
+        graphalign_assignment::AssignmentMethod::JonkerVolgenant,
+    )
+    .expect("IsoRank aligns a connected pair");
+    let dense = sim.as_dense().expect("IsoRank's similarity is dense");
+    let sparse = CsrMatrix::from_dense(dense);
+    let (size, work) = (format!("{n}x{n}"), (n as f64).powi(3));
+    let med = time_median(cfg.reps(), || {
+        black_box(jv::jv_max(black_box(dense)));
+    });
+    rows.push(row("jv", size.clone(), t, work, med));
+    let med = time_median(cfg.reps(), || {
+        black_box(hungarian::hungarian_max(black_box(dense)));
+    });
+    rows.push(row("hungarian", size.clone(), t, work, med));
+    let med = time_median(cfg.reps(), || {
+        black_box(auction::auction_max(black_box(&sparse)));
+    });
+    rows.push(row("auction", size, t, work, med));
+}
+
 fn run_all(cfg: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
     // Quick runs measure at the requested thread count; full runs sweep the
@@ -518,6 +557,9 @@ fn run_all(cfg: &Config) -> Vec<Row> {
         }
         if enabled("eigen") {
             bench_eigen(cfg, t, &mut rows);
+        }
+        if enabled("assignment") {
+            bench_assignment(cfg, t, &mut rows);
         }
     }
     rows

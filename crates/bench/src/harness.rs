@@ -413,17 +413,6 @@ pub fn run_cell_traced(
             let sink = solver_telemetry::install(policy.trace);
             let instance = make_instance(base, noise, policy.rep_seed(r, attempt));
             let outcome = run_instance(algo, dense_dataset, &instance, method);
-            // A repetition that "succeeded" after the budget expired may
-            // carry a budget-degraded matching (the auction winds down
-            // early); classify it as a timeout so degraded measures never
-            // enter the averages.
-            let outcome = match outcome {
-                Ok(_) if graphalign_par::budget::exceeded() => Err(RepFailure {
-                    class: CellError::Timeout,
-                    message: format!("{}: cell budget expired during repetition {r}", algo.name()),
-                }),
-                other => other,
-            };
             match outcome {
                 Err(f) if f.class == CellError::Numeric && attempt < policy.retries => {
                     attempt += 1;

@@ -189,7 +189,7 @@ impl Aligner for Graal {
         if method == AssignmentMethod::SortGreedy {
             let costs =
                 graphalign_par::telemetry::time_phase("similarity", || self.costs(source, target));
-            return Ok(graphalign_par::telemetry::time_phase("assignment", || {
+            return crate::unexpired(graphalign_par::telemetry::time_phase("assignment", || {
                 self.seed_and_extend(source, target, &costs)
             }));
         }

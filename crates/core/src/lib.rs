@@ -219,7 +219,8 @@ pub trait Aligner {
 /// across the registry.
 ///
 /// # Errors
-/// Propagates [`Aligner::similarity_for`] failures.
+/// Propagates [`Aligner::similarity_for`] failures and
+/// [`assign_within_budget`]'s interruption.
 pub fn generic_align_with<A: Aligner + ?Sized>(
     aligner: &A,
     source: &Graph,
@@ -227,7 +228,7 @@ pub fn generic_align_with<A: Aligner + ?Sized>(
     method: AssignmentMethod,
 ) -> Result<Vec<usize>, AlignError> {
     let sim = precompute_similarity(aligner, source, target, method)?;
-    Ok(assign_precomputed(&sim, method))
+    assign_within_budget(&sim, method)
 }
 
 /// The expensive half of the pipeline on its own: validates the instance and
@@ -258,6 +259,35 @@ pub fn assign_precomputed(sim: &Similarity, method: AssignmentMethod) -> Vec<usi
     graphalign_par::telemetry::time_phase("assignment", || {
         graphalign_assignment::assign(sim, method)
     })
+}
+
+/// [`assign_precomputed`] under the cell budget ([`graphalign_par::budget`]),
+/// as [`generic_align_with`] and the serving layer run it. Once the budget
+/// has expired a matching may be budget-degraded — the JV, Hungarian and
+/// auction solvers stop early and complete it with free columns — so it is
+/// reported as [`AlignError::Interrupted`] instead of handed out. Every
+/// [`Aligner::align_with`] applies this rule, so the harness, the CLI and
+/// the server never report a degraded matching as a result.
+///
+/// # Errors
+/// [`AlignError::Interrupted`] when the budget expired before the matching
+/// was returned.
+pub fn assign_within_budget(
+    sim: &Similarity,
+    method: AssignmentMethod,
+) -> Result<Vec<usize>, AlignError> {
+    unexpired(assign_precomputed(sim, method))
+}
+
+/// `mapping`, or [`AlignError::Interrupted`] once the cell budget has
+/// expired: the rule of [`assign_within_budget`], which GRAAL's native
+/// seed-and-extend path applies too.
+pub(crate) fn unexpired(mapping: Vec<usize>) -> Result<Vec<usize>, AlignError> {
+    if graphalign_par::budget::exceeded() {
+        Err(AlignError::Interrupted { routine: "assignment", iterations: 0 })
+    } else {
+        Ok(mapping)
+    }
 }
 
 /// Validates that a one-to-one alignment is possible.

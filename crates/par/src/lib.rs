@@ -21,7 +21,8 @@
 //! workspace builds offline, so no external thread-pool crate is available).
 //! The thread count is taken from, in order: [`set_max_threads`], the
 //! `GRAPHALIGN_THREADS` environment variable, and finally
-//! [`std::thread::available_parallelism`]. At one thread every helper runs
+//! [`std::thread::available_parallelism`]; the last two are read once per
+//! process. At one thread every helper runs
 //! the same chunk schedule inline on the caller and no thread is spawned.
 //!
 //! Small inputs (below [`MIN_PAR_WORK`] work items) also run inline: scoped
@@ -34,6 +35,7 @@ pub mod telemetry;
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Work threshold (in `cost_per_item` units, 1 unit ≈ one multiply-add)
 /// below which helpers run inline: forking scoped threads costs tens of
@@ -45,24 +47,31 @@ static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Caps the number of worker threads used by all helpers in this crate.
 ///
-/// Takes precedence over `GRAPHALIGN_THREADS`. Passing `0` clears the
-/// override. Because results are thread-count independent, this knob only
-/// affects wall-clock time.
+/// Takes precedence over `GRAPHALIGN_THREADS`, at any time. Passing `0`
+/// clears the override. Because results are thread-count independent, this
+/// knob only affects wall-clock time.
 pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// The number of worker threads helpers may use for large inputs.
+/// The number of worker threads helpers may use for large inputs: the
+/// [`set_max_threads`] override, else the default. The default
+/// (`GRAPHALIGN_THREADS`, else the core count) is read once per process:
+/// querying the core count reads the cgroup files and costs about a quarter
+/// of a two-thread fork and join.
 pub fn max_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
     let explicit = MAX_THREADS.load(Ordering::Relaxed);
     if explicit > 0 {
         return explicit;
     }
-    std::env::var("GRAPHALIGN_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    *DEFAULT.get_or_init(|| {
+        std::env::var("GRAPHALIGN_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Splits `0..len` into the fixed chunk ranges all helpers use: `chunk_len`

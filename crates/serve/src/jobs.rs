@@ -385,7 +385,7 @@ fn attempt_once(
                 )
             }
         };
-        sim.map(|sim| graphalign::assign_precomputed(&sim, request.method))
+        sim.and_then(|sim| graphalign::assign_within_budget(&sim, request.method))
     }));
     state.jobs.with_job(id, |job| job.budget = None);
     let rep = graphalign_par::telemetry::drain();

@@ -20,18 +20,31 @@ fn upload(addr: &str, g: &graphalign_graph::Graph) -> String {
     post(addr, "/graphs", &text).get("id").and_then(Json::as_str).expect("graph id").to_string()
 }
 
-fn wait_done(addr: &str, id: usize) -> Json {
+/// The statuses of a job that has not ended.
+const UNFINISHED: &[&str] = &["queued", "running"];
+
+fn status(job: &Json) -> &str {
+    job.get("status").and_then(Json::as_str).expect("status")
+}
+
+/// Polls job `id` until its status is none of `pending`; returns the job.
+fn poll_job(addr: &str, id: usize, pending: &[&str]) -> Json {
     for _ in 0..60_000 {
         let resp = http::request(addr, "GET", &format!("/jobs/{id}"), b"").expect("poll");
         assert_eq!(resp.status, 200, "{}", resp.body);
-        let body = resp.json();
-        match body.get("status").and_then(Json::as_str).expect("status") {
-            "queued" | "running" => std::thread::sleep(Duration::from_millis(1)),
-            "done" => return body,
-            other => panic!("job {id} ended as {other}: {}", resp.body),
+        let job = resp.json();
+        if !pending.contains(&status(&job)) {
+            return job;
         }
+        std::thread::sleep(Duration::from_millis(1));
     }
-    panic!("job {id} never finished");
+    panic!("job {id} stayed {pending:?}");
+}
+
+fn wait_done(addr: &str, id: usize) -> Json {
+    let job = poll_job(addr, id, UNFINISHED);
+    assert_eq!(status(&job), "done", "job {id}: {job:?}");
+    job
 }
 
 fn submit(addr: &str, src: &str, tgt: &str, algorithm: &str, assignment: &str) -> usize {
@@ -203,16 +216,63 @@ fn a_tiny_timeout_reports_timeout_not_success() {
     );
     let id =
         post(&addr, "/jobs", body.as_bytes()).get("job").and_then(Json::as_f64).unwrap() as usize;
-    let final_status = loop {
-        let resp = http::request(&addr, "GET", &format!("/jobs/{id}"), b"").expect("poll");
-        let bodyj = resp.json();
-        let status = bodyj.get("status").and_then(Json::as_str).unwrap().to_string();
-        if status != "queued" && status != "running" {
-            break status;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    assert_eq!(final_status, "timeout");
+    assert_eq!(status(&poll_job(&addr, id, UNFINISHED)), "timeout");
+    server.shutdown();
+    server.wait();
+}
+
+/// A warm job skips the similarity phase, so its budget can only trip
+/// during assignment. The auction winds down and completes with its
+/// fallback, JV and Hungarian stop at their next augmenting row; either
+/// way the mapping may be degraded, and the job must not report `done`.
+#[test]
+fn a_budget_that_trips_during_assignment_reports_timeout() {
+    let server = start(ServeConfig::default()).expect("start");
+    let addr = server.addr().to_string();
+    let (source, target) = test_pair();
+    let src = upload(&addr, &source);
+    let tgt = upload(&addr, &target);
+    // Fill both cache variants (auction's and the generic one).
+    for method in ["mwm", "jv"] {
+        wait_done(&addr, submit(&addr, &src, &tgt, "IsoRank", method));
+    }
+    for method in ["mwm", "jv", "hun"] {
+        let body = format!(
+            "{{\"source\":{src:?},\"target\":{tgt:?},\"algorithm\":\"IsoRank\",\
+             \"assignment\":{method:?},\"timeout\":1e-6}}"
+        );
+        let id = post(&addr, "/jobs", body.as_bytes()).get("job").and_then(Json::as_f64).unwrap();
+        assert_eq!(status(&poll_job(&addr, id as usize, UNFINISHED)), "timeout", "warm {method}");
+    }
+    server.shutdown();
+    server.wait();
+}
+
+/// Hungarian polls the job's budget once per row, so cancelling a warm job
+/// that would solve for many seconds ends it `cancelled` within moments.
+#[test]
+fn cancelling_a_running_warm_hungarian_job_ends_it_promptly() {
+    let server = start(ServeConfig::default()).expect("start");
+    let addr = server.addr().to_string();
+    let source = graphalign_gen::powerlaw_cluster(1200, 3, 0.3, 21);
+    let instance = graphalign_noise::make_instance(
+        &source,
+        &graphalign_noise::NoiseConfig::new(graphalign_noise::NoiseModel::OneWay, 0.0),
+        22,
+    );
+    let src = upload(&addr, &source);
+    let tgt = upload(&addr, &instance.target);
+    // NSD's similarity is dense and quick to compute; a cold NN job caches
+    // it, so the warm Hungarian job goes straight to a 1200 × 1200 solve.
+    wait_done(&addr, submit(&addr, &src, &tgt, "NSD", "nn"));
+    let id = submit(&addr, &src, &tgt, "NSD", "hun");
+    assert_eq!(status(&poll_job(&addr, id, &["queued"])), "running", "job {id} ended uncancelled");
+    std::thread::sleep(Duration::from_millis(50));
+    let cancelled_at = std::time::Instant::now();
+    post(&addr, &format!("/jobs/{id}/cancel"), b"");
+    assert_eq!(status(&poll_job(&addr, id, UNFINISHED)), "cancelled");
+    let waited = cancelled_at.elapsed();
+    assert!(waited < Duration::from_secs(2), "cancel took {waited:?} to land");
     server.shutdown();
     server.wait();
 }
